@@ -1,6 +1,8 @@
 # Tier-1 verification: everything here must stay green.
 #
-#   make verify     build + full test suite (the tier-1 gate)
+#   make verify     build + full test suite (the tier-1 gate), including
+#                   the bench/ module's short tests (a nested module the
+#                   root `go test ./...` does not reach)
 #   make race       race-detector job (short mode: the figure-scale
 #                   simulations are pure compute on one goroutine and
 #                   would take >10 min under the detector for no extra
@@ -63,6 +65,7 @@ build:
 
 test:
 	$(GO) test ./...
+	cd bench && $(GO) test -short ./...
 
 verify: build vet staticcheck test api-compat
 
@@ -109,12 +112,12 @@ bench-fluid:
 bench-parallel:
 	$(GO) run ./cmd/hostcc-bench -bench-parallel BENCH_parallel.json -leaves 4 -spines 2 -senders 128 -seed 42
 
-# Sharded-engine determinism gate: (1) single-shard runs still match the
-# golden digests byte for byte (the -shards 1 path is the untouched
-# serial engine); (2) multi-shard runs are run-twice deterministic
-# (VerifyReplay executes every sharded run twice and compares digest
-# timelines frame by frame); (3) the chaos acceptance rows hold at 4
-# shards.
+# Sharded-engine determinism gate: (1) the golden digests match byte for
+# byte — the serial rows (one plain engine on the same construction path
+# as every shard count) and the pinned 2- and 4-shard rows; (2)
+# multi-shard runs are run-twice deterministic (VerifyReplay executes
+# every sharded run twice and compares digest timelines frame by frame);
+# (3) the chaos acceptance rows hold at 4 shards.
 parallel-determinism:
 	$(GO) test ./internal/testbed/ -run 'TestGoldenDigest|TestTopologyGoldenDigests' -count=1
 	$(GO) test ./internal/testbed/ ./internal/sim/ -run 'TestSharded|TestShard' -count=1

@@ -199,8 +199,9 @@ type Fabric struct {
 
 	// SwitchShards, AccessShards and TrunkShards record which shard owns
 	// each switch, access link and trunk link (index-parallel to Switches,
-	// Access and Trunks). Populated only by BuildSharded; a component must
-	// be mutated — fault injection included — only from its owning shard.
+	// Access and Trunks; all zero on a one-shard placement). A component
+	// must be mutated — fault injection included — only from its owning
+	// shard.
 	SwitchShards []int
 	AccessShards []int
 	TrunkShards  []int
@@ -259,17 +260,72 @@ func (f *Fabric) SwitchName(i int) string {
 	return "switch"
 }
 
-// Build compiles the topology: switches are created leaves-first, hosts
-// attach in slice order (up link, then down link, then switch port — the
-// exact construction order of the pre-topology star, so star digests are
-// unchanged), trunks attach after the hosts, and static shortest-path
-// routes are installed last. The construction makes no engine calls
-// beyond handler registration, so it is digest-deterministic.
-func Build(e *sim.Engine, topo Topology, access LinkConfig, hosts []HostPort, pool *packet.Pool, tr *telemetry.Tracer) (*Fabric, error) {
+// Placement says where a fabric's components run. Switch i lives on
+// shard SwitchShard(i), and the hosts behind a leaf on the leaf's shard,
+// so access links never cross shards; only trunks can.
+type Placement struct {
+	// Engines and Pools hold each shard's engine and packet pool, one per
+	// shard. Every link recycles into its own shard's pool (a pool is only
+	// ever touched by its shard; Pool.Put adopts packets allocated
+	// elsewhere).
+	Engines []*sim.Engine
+	Pools   []*packet.Pool
+	// SwitchShard maps a switch index (leaves first, then spines) to the
+	// shard that owns it.
+	SwitchShard func(i int) int
+	// Group synchronizes the shards (nil on one shard). A trunk whose
+	// endpoints land on different shards becomes a Group boundary
+	// exporting its propagation delay as lookahead.
+	Group *sim.ShardGroup
+}
+
+// check reports a placement that cannot host the topology.
+func (p Placement) check(topo Topology, tr *telemetry.Tracer) error {
+	n := len(p.Engines)
+	if len(p.Pools) != n {
+		return fmt.Errorf("fabric: %d pools for %d shards", len(p.Pools), n)
+	}
+	for i := 0; i < topo.Switches(); i++ {
+		if s := p.SwitchShard(i); s < 0 || s >= n {
+			return fmt.Errorf("fabric: switch %d assigned to shard %d outside [0,%d)", i, s, n)
+		}
+	}
+	if n == 1 {
+		return nil
+	}
+	// The star has a single switch and therefore no boundaries to cut; it
+	// is rejected rather than silently run serialized.
+	if topo.Kind == TopoStar {
+		return fmt.Errorf("fabric: sharded build needs a multi-switch topology, not star")
+	}
+	if tr != nil {
+		return fmt.Errorf("fabric: a tracer is one shared timeline and cannot span %d shards", n)
+	}
+	if p.Group == nil || p.Group.Shards() != n {
+		return fmt.Errorf("fabric: %d shards need a shard group of the same size", n)
+	}
+	return nil
+}
+
+// Build compiles the topology onto the placement: switches are created
+// leaves-first, hosts attach in slice order (up link, then down link,
+// then switch port — the exact construction order of the pre-topology
+// star, so star digests are unchanged), trunks attach after the hosts,
+// and static shortest-path routes are installed last. The construction
+// makes no engine calls beyond handler registration, so it is
+// digest-deterministic, and a one-shard placement runs on its plain
+// engine with no shard group at all. PFC pause propagation across a
+// cross-shard trunk rides its own control boundary with the trunk's
+// delay, so the pause frame's flight time and the lookahead are both
+// preserved. The tracer (nil disables it) requires a single shard.
+func Build(p Placement, topo Topology, access LinkConfig, hosts []HostPort, tr *telemetry.Tracer) (*Fabric, error) {
 	if err := topo.Validate(); err != nil {
 		return nil, err
 	}
 	if err := access.Validate(); err != nil {
+		return nil, err
+	}
+	if err := p.check(topo, tr); err != nil {
 		return nil, err
 	}
 	swcfg := topo.Switch
@@ -313,11 +369,13 @@ func Build(e *sim.Engine, topo Topology, access LinkConfig, hosts []HostPort, po
 
 	f := &Fabric{Topo: topo, sends: make([]func(*packet.Packet), len(hosts)), accessDelay: access.Delay}
 	for i := 0; i < topo.Switches(); i++ {
-		sw := NewSwitch(e, swcfg)
+		shard := p.SwitchShard(i)
+		sw := NewSwitch(p.Engines[shard], swcfg)
 		if tr != nil {
 			sw.SetTracer(tr, f.SwitchName(i))
 		}
 		f.Switches = append(f.Switches, sw)
+		f.SwitchShards = append(f.SwitchShards, shard)
 	}
 	leaves := f.Switches[:racks]
 
@@ -327,6 +385,8 @@ func Build(e *sim.Engine, topo Topology, access LinkConfig, hosts []HostPort, po
 	// the leaf in turn (HostPauser).
 	for i, h := range hosts {
 		sw := leaves[h.Rack]
+		shard := f.SwitchShards[h.Rack]
+		e, pool := p.Engines[shard], p.Pools[shard]
 		var up *Link
 		if pfcOn {
 			pauseNIC := h.Pause
@@ -334,7 +394,7 @@ func Build(e *sim.Engine, topo Topology, access LinkConfig, hosts []HostPort, po
 				pauseNIC = func(bool) {}
 			}
 			ig := sw.NewIngress(fmt.Sprintf("host%d", h.ID), access.Delay, pauseNIC)
-			up = NewLink(e, access, func(p *packet.Packet) { sw.InjectFrom(ig, p) })
+			up = NewLink(e, access, func(pkt *packet.Packet) { sw.InjectFrom(ig, pkt) })
 		} else {
 			up = NewLink(e, access, sw.Inject)
 		}
@@ -345,6 +405,56 @@ func Build(e *sim.Engine, topo Topology, access LinkConfig, hosts []HostPort, po
 		f.hostPorts = append(f.hostPorts, hostPortRef{sw: sw, port: port})
 		f.sends[i] = up.Send
 		f.Access = append(f.Access, up, down)
+		f.AccessShards = append(f.AccessShards, shard, shard)
+	}
+
+	// trunk wires one directed inter-switch link from switch a to switch
+	// b. The link lives on a's shard; when the endpoints straddle shards,
+	// delivery crosses a boundary. With PFC on, b tracks the trunk as an
+	// ingress whose XOFF pauses a's port — pause propagation across tiers,
+	// and the loop a pfc-cycle verdict names.
+	trunk := func(a, b int) PortID {
+		aSw, bSw := f.Switches[a], f.Switches[b]
+		sa, sb := f.SwitchShards[a], f.SwitchShards[b]
+		name := f.SwitchName(a)
+		var ig *Ingress
+		var ln *Link
+		if pfcOn {
+			ln = NewLink(p.Engines[sa], trunkCfg, func(pkt *packet.Packet) { bSw.InjectFrom(ig, pkt) })
+		} else {
+			ln = NewLink(p.Engines[sa], trunkCfg, bSw.Inject)
+		}
+		ln.SetPool(p.Pools[sa])
+		port := aSw.AttachTrunk(ln)
+		if sa != sb {
+			ln.BindBoundary(p.Group, sa, sb)
+		}
+		if pfcOn {
+			if sa == sb {
+				ig = bSw.NewIngress(name, trunkCfg.Delay,
+					func(on bool) { aSw.PortPause(port, on) })
+			} else {
+				// The pause frame crosses back over its own boundary with the
+				// trunk's flight delay (registered as lookahead like any other
+				// boundary); the ingress itself asserts with zero local delay.
+				pb := p.Group.Connect(sb, sa, trunkCfg.Delay, func(a0, _ uint64, _ any) {
+					aSw.PortPause(port, a0 != 0)
+				})
+				be := p.Engines[sb]
+				ig = bSw.NewIngress(name, 0, func(on bool) {
+					v := uint64(0)
+					if on {
+						v = 1
+					}
+					pb.Send(be.Now()+trunkCfg.Delay, v, 0, nil)
+				})
+			}
+		}
+		f.Trunks = append(f.Trunks, ln)
+		f.TrunkShards = append(f.TrunkShards, sa)
+		f.TrunkPorts = append(f.TrunkPorts, TrunkPort{Sw: aSw, Port: port, From: a, To: b,
+			Name: name + "->" + f.SwitchName(b)})
+		return port
 	}
 
 	// Trunks and routes.
@@ -361,43 +471,8 @@ func Build(e *sim.Engine, topo Topology, access LinkConfig, hosts []HostPort, po
 		for l := range leaves {
 			leafUp[l] = make([]PortID, len(spines))
 			for s := range spines {
-				lf, sp := leaves[l], spines[s]
-				// With PFC on, each trunk's receiving switch tracks the
-				// trunk as an ingress whose XOFF pauses the transmitting
-				// switch's port — pause propagation across tiers, and the
-				// loop a pfc-cycle verdict names.
-				var up, down *Link
-				var upIg, downIg *Ingress
-				if pfcOn {
-					up = NewLink(e, trunkCfg, func(p *packet.Packet) { sp.InjectFrom(upIg, p) })
-				} else {
-					up = NewLink(e, trunkCfg, sp.Inject)
-				}
-				up.SetPool(pool)
-				leafUp[l][s] = lf.AttachTrunk(up)
-				if pfcOn {
-					upPort := leafUp[l][s]
-					upIg = sp.NewIngress(fmt.Sprintf("leaf%d", l), trunkCfg.Delay,
-						func(on bool) { lf.PortPause(upPort, on) })
-				}
-				if pfcOn {
-					down = NewLink(e, trunkCfg, func(p *packet.Packet) { lf.InjectFrom(downIg, p) })
-				} else {
-					down = NewLink(e, trunkCfg, lf.Inject)
-				}
-				down.SetPool(pool)
-				spineDown[s][l] = sp.AttachTrunk(down)
-				if pfcOn {
-					downPort := spineDown[s][l]
-					downIg = lf.NewIngress(fmt.Sprintf("spine%d", s), trunkCfg.Delay,
-						func(on bool) { sp.PortPause(downPort, on) })
-				}
-				f.Trunks = append(f.Trunks, up, down)
-				f.TrunkPorts = append(f.TrunkPorts,
-					TrunkPort{Sw: lf, Port: leafUp[l][s], From: l, To: racks + s,
-						Name: fmt.Sprintf("leaf%d->spine%d", l, s)},
-					TrunkPort{Sw: sp, Port: spineDown[s][l], From: racks + s, To: l,
-						Name: fmt.Sprintf("spine%d->leaf%d", s, l)})
+				leafUp[l][s] = trunk(l, racks+s)
+				spineDown[s][l] = trunk(racks+s, l)
 			}
 		}
 		for _, h := range hosts {
@@ -415,34 +490,8 @@ func Build(e *sim.Engine, topo Topology, access LinkConfig, hosts []HostPort, po
 		}
 	case TopoDumbbell:
 		left, right := f.Switches[0], f.Switches[1]
-		var lr, rl *Link
-		var lrIg, rlIg *Ingress
-		if pfcOn {
-			lr = NewLink(e, trunkCfg, func(p *packet.Packet) { right.InjectFrom(lrIg, p) })
-		} else {
-			lr = NewLink(e, trunkCfg, right.Inject)
-		}
-		lr.SetPool(pool)
-		lrPort := left.AttachTrunk(lr)
-		if pfcOn {
-			lrIg = right.NewIngress("sw0", trunkCfg.Delay,
-				func(on bool) { left.PortPause(lrPort, on) })
-		}
-		if pfcOn {
-			rl = NewLink(e, trunkCfg, func(p *packet.Packet) { left.InjectFrom(rlIg, p) })
-		} else {
-			rl = NewLink(e, trunkCfg, left.Inject)
-		}
-		rl.SetPool(pool)
-		rlPort := right.AttachTrunk(rl)
-		if pfcOn {
-			rlIg = left.NewIngress("sw1", trunkCfg.Delay,
-				func(on bool) { right.PortPause(rlPort, on) })
-		}
-		f.Trunks = append(f.Trunks, lr, rl)
-		f.TrunkPorts = append(f.TrunkPorts,
-			TrunkPort{Sw: left, Port: lrPort, From: 0, To: 1, Name: "sw0->sw1"},
-			TrunkPort{Sw: right, Port: rlPort, From: 1, To: 0, Name: "sw1->sw0"})
+		lrPort := trunk(0, 1)
+		rlPort := trunk(1, 0)
 		for _, h := range hosts {
 			if h.Rack == 0 {
 				right.SetRoute(h.ID, rlPort)

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/packet"
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 )
 
 // TestSwitchConfigValidate: the validation gaps closed in the bugfix
@@ -144,20 +145,95 @@ func TestParseTopologyKind(t *testing.T) {
 	}
 }
 
-// TestBuildRejectsBadHosts: rack bounds and zero host IDs fail at build
-// time with the offending host named.
+// serial places a whole fabric on one engine (nil pool: links allocate).
+func serial(e *sim.Engine) Placement {
+	return Placement{Engines: []*sim.Engine{e}, Pools: []*packet.Pool{nil}, SwitchShard: func(int) int { return 0 }}
+}
+
+// sharded places switch i on shard i%n of a fresh n-shard group.
+func sharded(n int) Placement {
+	g := sim.NewShardGroup(1, n)
+	p := Placement{Group: g, SwitchShard: func(i int) int { return i % n }}
+	for i := 0; i < n; i++ {
+		p.Engines = append(p.Engines, g.Shard(i))
+		p.Pools = append(p.Pools, packet.NewPool(0))
+	}
+	return p
+}
+
+// TestBuildRejectsBadHosts: rack bounds, zero host IDs and placements
+// that cannot host the topology fail at build time with the offender
+// named.
 func TestBuildRejectsBadHosts(t *testing.T) {
-	e := sim.NewEngine(1)
-	lcfg := DefaultLinkConfig()
 	sink := func(p *packet.Packet) {}
-	if _, err := Build(e, Star(), lcfg, []HostPort{{ID: 1, Rack: 1, Deliver: sink}}, nil, nil); err == nil {
-		t.Error("rack 1 on a one-rack star accepted")
+	racks := []HostPort{{ID: 1, Rack: 0, Deliver: sink}, {ID: 2, Rack: 1, Deliver: sink}}
+	onePool := sharded(2)
+	onePool.Pools = onePool.Pools[:1]
+	offShard := sharded(2)
+	offShard.SwitchShard = func(i int) int { return i + 1 }
+	noGroup := sharded(2)
+	noGroup.Group = nil
+	cases := []struct {
+		name    string
+		place   Placement
+		topo    Topology
+		hosts   []HostPort
+		tr      *telemetry.Tracer
+		wantErr string
+	}{
+		{"rack-beyond-star", serial(sim.NewEngine(1)), Star(), []HostPort{{ID: 1, Rack: 1, Deliver: sink}}, nil, "rack 1"},
+		{"zero-host-id", serial(sim.NewEngine(1)), Dumbbell(), []HostPort{{ID: 0, Rack: 0, Deliver: sink}}, nil, "zero ID"},
+		{"unknown-kind", serial(sim.NewEngine(1)), Topology{Kind: TopologyKind(7)}, nil, nil, "unknown topology kind"},
+		{"pools-per-shard", onePool, LeafSpine(2, 2), racks, nil, "1 pools for 2 shards"},
+		{"switch-off-shard", offShard, LeafSpine(2, 2), racks, nil, "switch 1 assigned to shard 2 outside [0,2)"},
+		{"star-split", sharded(2), Star(), racks[:1], nil, "not star"},
+		{"tracer-split", sharded(2), LeafSpine(2, 2), racks, telemetry.NewTracer(), "tracer"},
+		{"no-group", noGroup, Dumbbell(), racks, nil, "shard group"},
 	}
-	if _, err := Build(e, Dumbbell(), lcfg, []HostPort{{ID: 0, Rack: 0, Deliver: sink}}, nil, nil); err == nil {
-		t.Error("zero host ID accepted")
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			_, err := Build(c.place, c.topo, DefaultLinkConfig(), c.hosts, c.tr)
+			if err == nil || !strings.Contains(err.Error(), c.wantErr) {
+				t.Fatalf("err = %v, want mention of %q", err, c.wantErr)
+			}
+		})
 	}
-	if _, err := Build(e, Topology{Kind: TopologyKind(7)}, lcfg, nil, nil, nil); err == nil {
-		t.Error("unknown topology kind accepted by Build")
+}
+
+// TestBuildShardMaps: the shard maps are filled on every placement —
+// all zero on one shard, and on two shards every access link shares its
+// leaf's shard and every trunk lives on its transmitting switch's shard.
+func TestBuildShardMaps(t *testing.T) {
+	sink := func(p *packet.Packet) {}
+	hosts := []HostPort{{ID: 1, Rack: 0, Deliver: sink}, {ID: 2, Rack: 1, Deliver: sink}}
+	for _, n := range []int{1, 2} {
+		p := sharded(n)
+		if n == 1 {
+			p = serial(sim.NewEngine(1))
+		}
+		fb, err := Build(p, LeafSpine(2, 2), DefaultLinkConfig(), hosts, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(fb.SwitchShards) != 4 || len(fb.AccessShards) != 4 || len(fb.TrunkShards) != 8 {
+			t.Fatalf("%d shards: maps sized %d/%d/%d, want 4/4/8", n,
+				len(fb.SwitchShards), len(fb.AccessShards), len(fb.TrunkShards))
+		}
+		for i, s := range fb.SwitchShards {
+			if s != i%n {
+				t.Errorf("%d shards: switch %d on shard %d, want %d", n, i, s, i%n)
+			}
+		}
+		for i, s := range fb.AccessShards {
+			if want := fb.SwitchShards[hosts[i/2].Rack]; s != want {
+				t.Errorf("%d shards: access link %d on shard %d, want its leaf's %d", n, i, s, want)
+			}
+		}
+		for i, s := range fb.TrunkShards {
+			if want := fb.SwitchShards[fb.TrunkPorts[i].From]; s != want {
+				t.Errorf("%d shards: trunk %d on shard %d, want its sender's %d", n, i, s, want)
+			}
+		}
 	}
 }
 
@@ -176,7 +252,7 @@ func TestLeafSpineRouting(t *testing.T) {
 		mkHost(1, 0), mkHost(2, 0),
 		mkHost(3, 1), mkHost(4, 1),
 	}
-	fb, err := Build(e, LeafSpine(2, 2), lcfg, hosts, nil, nil)
+	fb, err := Build(serial(e), LeafSpine(2, 2), lcfg, hosts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,8 +311,8 @@ func TestLeafSpineRouting(t *testing.T) {
 // wiring bug, not a droppable event.
 func TestInjectUnknownHostPanics(t *testing.T) {
 	e := sim.NewEngine(1)
-	fb, err := Build(e, Star(), DefaultLinkConfig(),
-		[]HostPort{{ID: 1, Rack: 0, Deliver: func(*packet.Packet) {}}}, nil, nil)
+	fb, err := Build(serial(e), Star(), DefaultLinkConfig(),
+		[]HostPort{{ID: 1, Rack: 0, Deliver: func(*packet.Packet) {}}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

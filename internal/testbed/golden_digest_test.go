@@ -32,10 +32,21 @@ func goldenChaosConfig(scenario string) ChaosConfig {
 	}
 }
 
-func formatGolden(res ChaosResult) string {
+// goldenShardedScenarios are recorded a second time on a 4-shard engine:
+// trunk-flap exercises the per-shard fault seams, pfc-storm the storm
+// trunks' pause seams on their owning shards.
+var goldenShardedScenarios = []string{"trunk-flap", "pfc-storm"}
+
+const goldenShards = 4
+
+func formatGolden(res ChaosResult, shards int) string {
 	var b strings.Builder
+	name := res.Scenario
+	if shards > 1 {
+		name = fmt.Sprintf("%s shards=%d", res.Scenario, shards)
+	}
 	fmt.Fprintf(&b, "scenario=%s seed=%d frames=%d combined=%#016x\n",
-		res.Scenario, res.Seed, res.Frames, res.Digest)
+		name, res.Seed, res.Frames, res.Digest)
 	for _, d := range res.ComponentDigests {
 		fmt.Fprintf(&b, "  %s=%#016x\n", d.Component, d.Hash)
 	}
@@ -60,7 +71,19 @@ func TestGoldenDigestsMatchRecorded(t *testing.T) {
 		if res.Frames == 0 {
 			t.Fatalf("chaos %s: no digest frames recorded", sc)
 		}
-		got.WriteString(formatGolden(res))
+		got.WriteString(formatGolden(res, 0))
+	}
+	for _, sc := range goldenShardedScenarios {
+		cfg := goldenChaosConfig(sc)
+		cfg.Shards = goldenShards
+		res, err := RunChaos(cfg)
+		if err != nil {
+			t.Fatalf("chaos %s x%d: %v", sc, goldenShards, err)
+		}
+		if res.Frames == 0 {
+			t.Fatalf("chaos %s x%d: no digest frames recorded", sc, goldenShards)
+		}
+		got.WriteString(formatGolden(res, goldenShards))
 	}
 
 	if os.Getenv("UPDATE_GOLDEN") != "" {

@@ -56,7 +56,7 @@ func RunIOMMUStudy(s Scale) []IOMMURow {
 
 // NewWithIOMMU builds a testbed whose receiver has an IOMMU with the
 // given IOTLB size (0 disables translation).
-func NewWithIOMMU(opts Options, iotlbEntries int) *Testbed {
+func NewWithIOMMU(opts Config, iotlbEntries int) *Testbed {
 	if iotlbEntries <= 0 {
 		return New(opts)
 	}

@@ -155,7 +155,7 @@ func RunLosslessStudy(cfg LosslessStudyConfig) (LosslessStudyResult, error) {
 // background load across the racks, MApp squeeze at every receiver, and
 // one recorded NetApp-L victim flow.
 func runLosslessArm(cfg LosslessStudyConfig, hostCC bool) (LosslessArm, error) {
-	opts := DefaultOptions()
+	opts := DefaultConfig()
 	opts.Seed = cfg.Seed
 	opts.Lossless = true
 	opts.PauseWatchdog = cfg.PauseWatchdog

@@ -112,7 +112,7 @@ func TestShardedChaosAcceptance(t *testing.T) {
 // waiting-on-lookahead, not as a wedged cycle — a healthy loaded run is
 // never aborted.
 func TestShardedSentinelNoFalseStall(t *testing.T) {
-	o := DefaultOptions()
+	o := DefaultConfig()
 	o.Topology = fabric.LeafSpine(2, 2)
 	o.Senders = 8
 	o.Receivers = 2
@@ -143,7 +143,7 @@ func TestShardedSentinelNoFalseStall(t *testing.T) {
 // to cut (star has none) and is incompatible with the shared-tracer
 // telemetry path.
 func TestShardedConfigValidation(t *testing.T) {
-	o := DefaultOptions()
+	o := DefaultConfig()
 	o.Shards = 2
 	if err := o.Validate(); err == nil {
 		t.Error("star topology with 2 shards validated; want error")

@@ -204,7 +204,7 @@ func runScaleOut(cfg ScaleOutConfig) (ScaleOutResult, *snapshot.Timeline, error)
 		return ScaleOutResult{}, nil, err
 	}
 
-	opts := DefaultOptions()
+	opts := DefaultConfig()
 	opts.Seed = cfg.Seed
 	opts.CC = scheme.Factory()
 	if scheme.Lossless {

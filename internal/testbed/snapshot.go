@@ -10,7 +10,7 @@ import (
 // Registry builds the snapshot registry for this testbed: every stateful
 // component, named and ordered along the datapath (engine first, then the
 // receiver wire-to-app, then senders, fabric, hostCC, faults). Two runs
-// built from identical Options produce identical registries, which is what
+// built from identical Configs produce identical registries, which is what
 // makes their digest timelines comparable — and makes FirstDivergence
 // report the most upstream divergent component.
 //
@@ -18,13 +18,11 @@ import (
 // arming), so every optional component is present.
 func (tb *Testbed) Registry() *snapshot.Registry {
 	reg := snapshot.NewRegistry()
+	// Every shard's engine is serialized; "engine" is shard 0 (tb.E) so
+	// single- and multi-shard timelines share a prefix.
 	reg.Register("engine", tb.E)
-	if tb.Group != nil {
-		// Sharded runs serialize every shard's engine; "engine" stays shard
-		// 0 (tb.E) so single- and multi-shard timelines share a prefix.
-		for i := 1; i < tb.Group.Shards(); i++ {
-			reg.Register(fmt.Sprintf("engine/s%d", i), tb.Group.Shard(i))
-		}
+	for i := 1; i < len(tb.engines); i++ {
+		reg.Register(fmt.Sprintf("engine/s%d", i), tb.engines[i])
 	}
 	for i, r := range tb.Receivers {
 		prefix := "rx"
@@ -57,13 +55,14 @@ func (tb *Testbed) Registry() *snapshot.Registry {
 	if tb.FluidNet != nil {
 		reg.Register("fluid", tb.FluidNet)
 	}
-	if tb.Injector != nil {
-		reg.Register("faults", tb.Injector)
-		// Sharded runs arm one injector per shard; shard 0's is "faults"
-		// above, the rest get per-shard names.
-		for i := 1; i < len(tb.Injectors); i++ {
-			reg.Register(fmt.Sprintf("faults/s%d", i), tb.Injectors[i])
+	// One injector per shard: shard 0's is "faults", the rest get
+	// per-shard names.
+	for i, in := range tb.Injectors {
+		name := "faults"
+		if i > 0 {
+			name = fmt.Sprintf("faults/s%d", i)
 		}
+		reg.Register(name, in)
 	}
 	return reg
 }

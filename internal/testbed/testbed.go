@@ -28,8 +28,7 @@ import (
 //
 // Naming convention (repo-wide): the parameter struct a package's New
 // function takes is named Config, built by DefaultConfig, and checked by
-// Validate. testbed.Options is a deprecated alias from before the
-// convention.
+// Validate.
 type Config struct {
 	Seed    int64
 	MTU     int
@@ -153,11 +152,6 @@ type Config struct {
 	mba *cpu.MBAConfig
 }
 
-// Options is the pre-convention name for Config.
-//
-// Deprecated: use Config.
-type Options = Config
-
 // trunkCount returns how many directed trunks (Fabric.TrunkPorts entries)
 // Build will create for the topology.
 func trunkCount(t fabric.Topology) int {
@@ -264,11 +258,6 @@ func DefaultConfig() Config {
 	}
 }
 
-// DefaultOptions is the pre-convention name for DefaultConfig.
-//
-// Deprecated: use DefaultConfig.
-func DefaultOptions() Options { return DefaultConfig() }
-
 func (o Config) withDefaults() Config {
 	d := DefaultConfig()
 	if o.Seed == 0 {
@@ -304,7 +293,7 @@ type Testbed struct {
 	E *sim.Engine
 	// Group is the parallel shard group (nil when Opts.Shards <= 1).
 	Group *sim.ShardGroup
-	Opts  Options
+	Opts  Config
 	// Receiver, Sw and HCC are the primary receiver, first switch and
 	// primary hostCC instance — the full sets live in Receivers,
 	// Fabric.Switches and HCCs (all length 1 in the default star).
@@ -323,12 +312,12 @@ type Testbed struct {
 	// Trunks holds the inter-switch links (empty in the star) — the
 	// LinkFlap seam under Config.FaultTrunks.
 	Trunks []*fabric.Link
-	// Injector is the armed fault injector (nil without Options.Faults).
-	// When sharded it is shard 0's injector; every shard arms the same
-	// plan against the seams it owns, and Injectors holds all of them.
+	// Injector is shard 0's armed fault injector (nil without
+	// Config.Faults). Every shard arms the same plan against the seams it
+	// owns, and Injectors holds all of them (one in a serial run).
 	Injector  *faults.Injector
 	Injectors []*faults.Injector
-	// Inv is the invariant checker (nil without Options.Invariants).
+	// Inv is the invariant checker (nil without Config.Invariants).
 	Inv *core.InvariantChecker
 
 	// FluidNet is the fluid background tier (nil without
@@ -345,6 +334,9 @@ type Testbed struct {
 	Reg *telemetry.Registry
 	// Tr is the event tracer (nil unless Config.Telemetry).
 	Tr *telemetry.Tracer
+
+	// engines holds every shard's engine (E alone in a serial run).
+	engines []*sim.Engine
 
 	// Window bookkeeping for exact signal averages.
 	winStart   sim.Time
@@ -375,10 +367,36 @@ const receiverID packet.HostID = 1
 // it under-reserved both flow-heavy incast and long-RTO runs (regrowth
 // copies mid-run) while reserving megabytes that sender-heavy,
 // flow-light runs never touched.
-func eventHeapHint(opts Config, tcfg transport.Config) int {
+//
+// Each shard sizes its own heap, counting only the hosts it owns
+// (hostShard maps a global host index to its shard), the flows with an
+// endpoint there, and the stale timers of its receivers. A flow's events
+// split between its two endpoint shards but are counted fully on both —
+// a bounded over-count that keeps the no-regrowth guarantee without
+// modeling where each in-flight packet is. On one shard every host and
+// flow counts.
+func eventHeapHint(opts Config, tcfg transport.Config, shard int, hostShard func(int) int) int {
+	hosts, receivers := 0, 0
+	for i := 0; i < opts.Receivers+opts.Senders; i++ {
+		if hostShard(i) != shard {
+			continue
+		}
+		hosts++
+		if i < opts.Receivers {
+			receivers++
+		}
+	}
+	flows := 0
+	for f := 0; f < opts.Flows; f++ {
+		rx := f % opts.Receivers
+		tx := opts.Receivers + f%opts.Senders
+		if hostShard(rx) == shard || hostShard(tx) == shard {
+			flows++
+		}
+	}
+
 	winPkts := tcfg.RcvWnd/tcfg.MSS + 1
 	perFlow := 2*winPkts + 16
-	hosts := opts.Receivers + opts.Senders
 
 	rate := opts.LinkRate
 	if rate == 0 {
@@ -386,9 +404,9 @@ func eventHeapHint(opts Config, tcfg transport.Config) int {
 	}
 	staleWindow := min(tcfg.MinRTO, opts.Warmup+opts.Measure)
 	stalePkts := float64(rate) * staleWindow.Seconds() / float64(opts.MTU)
-	stale := opts.Receivers * int(stalePkts)
+	stale := receivers * int(stalePkts)
 
-	return 2048 + 64*hosts + opts.Flows*perFlow + stale
+	return 2048 + 64*hosts + flows*perFlow + stale
 }
 
 // receiverName is the telemetry prefix of receiver i ("receiver" for the
@@ -424,24 +442,50 @@ func rackFor(t fabric.Topology, i, receivers int) int {
 	return 0
 }
 
+// newPlacement builds the engine and packet pool of each shard. One
+// shard is a plain engine with no shard group, so a serial run keeps the
+// classic single-engine event order. More shards partition the run
+// across a sim.ShardGroup synchronized by conservative trunk-delay
+// lookahead, one pool per shard (a pool is only ever touched by its own
+// shard). Either way a sender transport Gets the packets a receiver's rx
+// path Puts, so hosts share their shard's pool. Switch i (leaves first,
+// then spines) runs on shard i%N: leaves spread across shards exactly as
+// rackFor spreads hosts across racks, and spines fill in behind them.
+func newPlacement(opts Config) fabric.Placement {
+	n := max(opts.Shards, 1)
+	p := fabric.Placement{SwitchShard: func(i int) int { return i % n }}
+	if n == 1 {
+		p.Engines = []*sim.Engine{sim.NewEngine(opts.Seed)}
+	} else {
+		p.Group = sim.NewShardGroup(opts.Seed, n)
+		for i := 0; i < n; i++ {
+			p.Engines = append(p.Engines, p.Group.Shard(i))
+		}
+	}
+	for range p.Engines {
+		p.Pools = append(p.Pools, packet.NewPool(1024))
+	}
+	return p
+}
+
 // New builds the testbed: hosts, bidirectional links through the
 // compiled fabric topology, hostCC on every receiver (in ModeOff when
 // disabled, so signals are still measured), and the receiver-side MApps
-// at the requested degree.
-func New(opts Options) *Testbed {
+// at the requested degree. Every component lands on the shard of its
+// rack (see newPlacement), so access links never cross shards and only
+// inter-switch trunks become shard boundaries. It panics on a config
+// Validate rejects.
+func New(opts Config) *Testbed {
 	opts = opts.withDefaults()
-	if opts.Shards > 1 {
-		return newSharded(opts)
+	if err := opts.Validate(); err != nil {
+		panic(err)
 	}
-	e := sim.NewEngine(opts.Seed)
-	tb := &Testbed{E: e, Opts: opts, Reg: telemetry.NewRegistry()}
+	pl := newPlacement(opts)
+	hostShard := func(i int) int { return pl.SwitchShard(rackFor(opts.Topology, i, opts.Receivers)) }
+	tb := &Testbed{E: pl.Engines[0], Group: pl.Group, engines: pl.Engines, Opts: opts, Reg: telemetry.NewRegistry()}
 	if opts.Telemetry {
 		tb.Tr = telemetry.NewTracer()
 	}
-
-	// One pool for the whole testbed: sender transports Get the packets
-	// that the receiver's rx path Puts, so the free list must be shared.
-	pool := packet.NewPool(1024)
 
 	tcfg := transport.DefaultConfig(opts.MTU)
 	if opts.CC != nil {
@@ -456,13 +500,16 @@ func New(opts Options) *Testbed {
 		tcfg.MinRTO = opts.MinRTO
 		tcfg.InitialRTO = opts.MinRTO
 	}
-	// Pre-size the event heap so warm-up never pays a regrowth copy.
-	e.Reserve(eventHeapHint(opts, tcfg))
+	// Pre-size each event heap so warm-up never pays a regrowth copy.
+	for s, e := range pl.Engines {
+		e.Reserve(eventHeapHint(opts, tcfg, s, hostShard))
+	}
 
-	mkHost := func(id packet.HostID) *host.Host {
+	mkHost := func(idx int, id packet.HostID) *host.Host {
+		sh := hostShard(idx)
 		hcfg := host.DefaultConfig(id, opts.MTU, opts.DDIO)
 		hcfg.Transport = tcfg
-		hcfg.Pool = pool
+		hcfg.Pool = pl.Pools[sh]
 		if opts.LinkRate > 0 {
 			hcfg.NIC.LineRate = opts.LinkRate
 		}
@@ -479,16 +526,16 @@ func New(opts Options) *Testbed {
 		if id == receiverID && opts.mba != nil {
 			hcfg.MBA = *opts.mba
 		}
-		return host.New(e, hcfg)
+		return host.New(pl.Engines[sh], hcfg)
 	}
 
 	for i := 0; i < opts.Receivers; i++ {
-		tb.Receivers = append(tb.Receivers, mkHost(receiverID+packet.HostID(i)))
+		tb.Receivers = append(tb.Receivers, mkHost(i, receiverID+packet.HostID(i)))
 	}
 	tb.Receiver = tb.Receivers[0]
 	senderBase := receiverID + packet.HostID(opts.Receivers)
 	for i := 0; i < opts.Senders; i++ {
-		tb.Senders = append(tb.Senders, mkHost(senderBase+packet.HostID(i)))
+		tb.Senders = append(tb.Senders, mkHost(opts.Receivers+i, senderBase+packet.HostID(i)))
 	}
 
 	// Fabric: compile the topology. For the star this reproduces the
@@ -524,9 +571,9 @@ func New(opts Options) *Testbed {
 		swcfg.PFC.ResumeTimeout = opts.PauseWatchdog
 		topo.Switch = swcfg
 	}
-	fb, err := fabric.Build(e, topo, lcfg, ports, pool, tb.Tr)
+	fb, err := fabric.Build(pl, topo, lcfg, ports, tb.Tr)
 	if err != nil {
-		panic(err) // Config.Validate rejects invalid topologies up front
+		panic(err) // Config.Validate rejects invalid topology/shard pairs up front
 	}
 	tb.Fabric = fb
 	tb.Sw = fb.Switches[0]
@@ -566,7 +613,7 @@ func New(opts Options) *Testbed {
 	}
 	ccfg.Watchdog = opts.Watchdog
 	for i, r := range tb.Receivers {
-		hcc := core.New(e, r.MSR, r.MBA, ccfg)
+		hcc := core.New(pl.Engines[hostShard(i)], r.MSR, r.MBA, ccfg)
 		if tb.Tr != nil {
 			r.AttachTracer(tb.Tr, receiverName(i))
 			hcc.SetTracer(tb.Tr, receiverName(i))
@@ -591,40 +638,59 @@ func New(opts Options) *Testbed {
 		}
 	}
 
-	// Fault injection against the primary receiver's hardware seams.
-	// Armed last so the MApp (if any) exists. FaultTrunks retargets link
-	// flaps at the inter-switch trunks.
+	// Fault injection against the primary receiver's hardware seams,
+	// armed after the MApp (if any) exists. Every shard arms the same plan
+	// against the seams it owns (an injector ignores absent seams), so
+	// windows open and close at identical virtual times everywhere with
+	// zero cross-shard traffic, and event-level rolls draw from the owning
+	// shard's RNG. FaultTrunks retargets link flaps at the inter-switch
+	// trunks.
 	if opts.Faults != nil {
-		flapLinks := tb.Links
+		flapLinks, flapShards := tb.Links, fb.AccessShards
 		if opts.FaultTrunks {
-			flapLinks = tb.Trunks
+			flapLinks, flapShards = tb.Trunks, fb.TrunkShards
 		}
-		seams := faults.Seams{
-			MSR:   tb.Receiver.MSR,
-			MBA:   tb.Receiver.MBA,
-			NIC:   tb.Receiver.NIC,
-			PCIe:  tb.Receiver.Link,
-			Links: flapLinks,
-			MApp:  tb.Receiver.MApp(),
-		}
-		if opts.Lossless {
-			seams.Switches = fb.Switches
-			for _, ti := range opts.StormTrunks {
-				tp := fb.TrunkPorts[ti]
-				seams.Pause = append(seams.Pause, func(on bool) {
-					tp.Sw.SetPortForcedPause(tp.Port, on)
-				})
+		for s, e := range pl.Engines {
+			var seams faults.Seams
+			if s == hostShard(0) {
+				seams.MSR = tb.Receiver.MSR
+				seams.MBA = tb.Receiver.MBA
+				seams.NIC = tb.Receiver.NIC
+				seams.PCIe = tb.Receiver.Link
+				seams.MApp = tb.Receiver.MApp()
 			}
+			for i, l := range flapLinks {
+				if flapShards[i] == s {
+					seams.Links = append(seams.Links, l)
+				}
+			}
+			if opts.Lossless {
+				for i, sw := range fb.Switches {
+					if fb.SwitchShards[i] == s {
+						seams.Switches = append(seams.Switches, sw)
+					}
+				}
+				for _, ti := range opts.StormTrunks {
+					tp := fb.TrunkPorts[ti]
+					if fb.SwitchShards[tp.From] == s {
+						seams.Pause = append(seams.Pause, func(on bool) {
+							tp.Sw.SetPortForcedPause(tp.Port, on)
+						})
+					}
+				}
+			}
+			in := faults.MustNewInjector(e, *opts.Faults, seams)
+			in.Arm()
+			tb.Injectors = append(tb.Injectors, in)
 		}
-		tb.Injector = faults.MustNewInjector(e, *opts.Faults, seams)
-		tb.Injector.Arm()
+		tb.Injector = tb.Injectors[0]
 	}
 
 	// Invariant checker: audits packet conservation, PCIe credit
 	// accounting, and MBA level bounds every ~sample interval.
 	if opts.Invariants {
 		nic, link, mba := tb.Receiver.NIC, tb.Receiver.Link, tb.Receiver.MBA
-		tb.Inv = core.NewInvariantChecker(e, ccfg.SampleInterval, core.InvariantProbes{
+		tb.Inv = core.NewInvariantChecker(pl.Engines[hostShard(0)], ccfg.SampleInterval, core.InvariantProbes{
 			NICArrivals:   func() int64 { return nic.Arrivals.Total() },
 			NICDrops:      func() int64 { return nic.Drops.Total() },
 			NICFaultDrops: func() int64 { return nic.FaultDrops.Total() },
@@ -810,44 +876,39 @@ func (tb *Testbed) Now() sim.Time {
 
 // Processed returns executed events, summed across shards.
 func (tb *Testbed) Processed() uint64 {
-	if tb.Group != nil {
-		return tb.Group.ProcessedEvents()
+	var n uint64
+	for _, e := range tb.engines {
+		n += e.Processed
 	}
-	return tb.E.Processed
+	return n
 }
 
 // PendingEvents returns queued events, summed across shards.
 func (tb *Testbed) PendingEvents() int {
-	if tb.Group != nil {
-		return tb.Group.Pending()
+	n := 0
+	for _, e := range tb.engines {
+		n += e.Pending()
 	}
-	return tb.E.Pending()
+	return n
 }
 
-// MaxPendingEvents returns the event-queue high-water mark (the worst
-// shard when sharded — each shard pre-sizes its own heap).
+// MaxPendingEvents returns the event-queue high-water mark of the worst
+// shard (each shard pre-sizes its own heap).
 func (tb *Testbed) MaxPendingEvents() int {
-	if tb.Group != nil {
-		m := 0
-		for i := 0; i < tb.Group.Shards(); i++ {
-			m = max(m, tb.Group.Shard(i).MaxPending())
-		}
-		return m
+	m := 0
+	for _, e := range tb.engines {
+		m = max(m, e.MaxPending())
 	}
-	return tb.E.MaxPending()
+	return m
 }
 
-// EventHeapCap returns the event heap capacity (the largest shard's when
-// sharded).
+// EventHeapCap returns the event heap capacity of the largest shard.
 func (tb *Testbed) EventHeapCap() int {
-	if tb.Group != nil {
-		m := 0
-		for i := 0; i < tb.Group.Shards(); i++ {
-			m = max(m, tb.Group.Shard(i).HeapCap())
-		}
-		return m
+	m := 0
+	for _, e := range tb.engines {
+		m = max(m, e.HeapCap())
 	}
-	return tb.E.HeapCap()
+	return m
 }
 
 // Every schedules fn at the given period: a plain Ticker on the engine,

@@ -327,11 +327,11 @@ func TestIncastWithAndWithoutHostCongestion(t *testing.T) {
 }
 
 func TestOptionsDefaults(t *testing.T) {
-	o := Options{}.withDefaults()
+	o := Config{}.withDefaults()
 	if o.MTU != 4096 || o.Flows != 4 || o.Senders != 1 || o.Seed == 0 {
 		t.Fatalf("defaults wrong: %+v", o)
 	}
-	tb := New(Options{})
+	tb := New(Config{})
 	if tb.Receiver == nil || len(tb.Senders) != 1 || tb.HCC == nil {
 		t.Fatal("testbed incomplete")
 	}
@@ -342,6 +342,38 @@ func TestOptionsDefaults(t *testing.T) {
 	}()
 	tb.StartNetAppT()
 	tb.StartNetAppT()
+}
+
+// TestNewValidatesSerial: New validates at every shard count, so a
+// serial build of an invalid config panics with the Validate error
+// instead of running it.
+func TestNewValidatesSerial(t *testing.T) {
+	cases := []struct {
+		name string
+		edit func(*Config)
+	}{
+		{"fixed-level-below-dynamic", func(o *Config) { o.FixedLevel = -5 }},
+		{"mode-out-of-range", func(o *Config) { o.Mode = core.ModeOff + 1 }},
+		{"negative-flows", func(o *Config) { o.Flows = -1 }},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			o := DefaultConfig()
+			c.edit(&o)
+			want := o.withDefaults().Validate()
+			if want == nil {
+				t.Fatal("case is not invalid")
+			}
+			defer func() {
+				r := recover()
+				err, ok := r.(error)
+				if !ok || err.Error() != want.Error() {
+					t.Fatalf("New panicked with %v, want the Validate error %q", r, want)
+				}
+			}()
+			New(o)
+		})
+	}
 }
 
 func TestFlowsShareFairly(t *testing.T) {

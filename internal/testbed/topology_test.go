@@ -24,20 +24,20 @@ func TestEventHeapReservation(t *testing.T) {
 		opts Config
 	}{
 		{"star-default", false, func() Config {
-			o := DefaultOptions()
+			o := DefaultConfig()
 			o.Degree = 3
 			o.HostCC = true
 			return o
 		}()},
 		{"star-flow-heavy", false, func() Config {
-			o := DefaultOptions()
+			o := DefaultConfig()
 			o.Senders = 2
 			o.Flows = 256
 			o.MinRTO = sim.Millisecond
 			return o
 		}()},
 		{"leafspine-64", true, func() Config {
-			o := DefaultOptions()
+			o := DefaultConfig()
 			o.Topology = fabric.LeafSpine(0, 0)
 			o.Senders = 64
 			o.Receivers = 4
@@ -50,11 +50,11 @@ func TestEventHeapReservation(t *testing.T) {
 			return o
 		}()},
 		// The sharded variant sizes each shard's heap from the hosts and
-		// flows assigned to that shard (shardHeapHint), so the guards below
+		// flows assigned to that shard (eventHeapHint), so the guards below
 		// apply per shard: no shard may regrow, and no shard may reserve
 		// more than 32x what it peaks at.
 		{"leafspine-64-sharded", true, func() Config {
-			o := DefaultOptions()
+			o := DefaultConfig()
 			o.Topology = fabric.LeafSpine(4, 2)
 			o.Senders = 64
 			o.Receivers = 4
@@ -75,13 +75,7 @@ func TestEventHeapReservation(t *testing.T) {
 			}
 			tb := New(c.opts)
 			defer tb.Close()
-			engines := []*sim.Engine{tb.E}
-			if tb.Group != nil {
-				engines = engines[:0]
-				for i := 0; i < tb.Group.Shards(); i++ {
-					engines = append(engines, tb.Group.Shard(i))
-				}
-			}
+			engines := tb.engines
 			reserved := make([]int, len(engines))
 			for i, e := range engines {
 				reserved[i] = e.HeapCap()
@@ -188,25 +182,57 @@ func goldenScaleOutConfig(topo string) ScaleOutConfig {
 	}
 }
 
+// goldenShardedConfig is goldenScaleOutConfig on a sharded engine.
+func goldenShardedConfig(topo string, shards int) ScaleOutConfig {
+	c := goldenScaleOutConfig(topo)
+	c.Shards = shards
+	if shards == 4 && topo == "leafspine" {
+		c.Leaves, c.Spines = 4, 2
+	}
+	return c
+}
+
 // TestTopologyGoldenDigests runs a fixed leaf–spine and dumbbell
 // scale-out configuration and compares every component digest against
 // the recorded goldens — the routed-fabric determinism anchor future
-// refactors must preserve.
+// refactors must preserve. The sharded rows pin the parallel engine's
+// construction the same way: which engine and pool each component lands
+// on, the trunk boundaries (the lossless row adds the cross-shard PFC
+// control boundaries), and the fluid tier bound to the shard group.
 func TestTopologyGoldenDigests(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run experiment")
 	}
+	dcqcn := goldenShardedConfig("leafspine", 4)
+	dcqcn.Scheme = "dcqcn"
+	fluidBg := goldenShardedConfig("leafspine", 2)
+	fluidBg.FluidHosts, fluidBg.FluidPromotable = 64, 4
+	cases := []ScaleOutConfig{
+		goldenScaleOutConfig("leafspine"),
+		goldenScaleOutConfig("dumbbell"),
+		goldenShardedConfig("leafspine", 2),
+		goldenShardedConfig("leafspine", 4),
+		goldenShardedConfig("dumbbell", 2),
+		dcqcn,
+		fluidBg,
+	}
 	var got strings.Builder
-	for _, topo := range []string{"leafspine", "dumbbell"} {
-		r, err := RunScaleOut(goldenScaleOutConfig(topo))
+	for _, c := range cases {
+		r, err := RunScaleOut(c)
 		if err != nil {
-			t.Fatalf("scale-out %s: %v", topo, err)
+			t.Fatalf("scale-out %s x%d: %v", c.Topology, c.Shards, err)
 		}
 		if r.Frames == 0 {
-			t.Fatalf("scale-out %s: no digest frames recorded", topo)
+			t.Fatalf("scale-out %s x%d: no digest frames recorded", c.Topology, c.Shards)
+		}
+		// Serial rows keep their original header; sharded rows name the
+		// shard count, scheme and fluid population.
+		shape := r.Topology
+		if r.Shards > 1 {
+			shape = fmt.Sprintf("%s shards=%d scheme=%s fluid-flows=%d", r.Topology, r.Shards, r.Scheme, r.FluidFlows)
 		}
 		fmt.Fprintf(&got, "topology=%s senders=%d receivers=%d flows=%d seed=%d frames=%d combined=%#016x\n",
-			r.Topology, r.Senders, r.Receivers, r.Flows, r.Seed, r.Frames, r.Digest)
+			shape, r.Senders, r.Receivers, r.Flows, r.Seed, r.Frames, r.Digest)
 		for _, d := range r.ComponentDigests {
 			fmt.Fprintf(&got, "  %s=%#016x\n", d.Component, d.Hash)
 		}
@@ -251,7 +277,7 @@ func TestTopologyGoldenDigests(t *testing.T) {
 // exactly like the zero value — same construction, same digests.
 func TestStarTopologyIsDefault(t *testing.T) {
 	run := func(topo fabric.Topology) Metrics {
-		opts := DefaultOptions()
+		opts := DefaultConfig()
 		opts.Topology = topo
 		opts.Degree = 2
 		opts.HostCC = true
@@ -271,7 +297,7 @@ func TestStarTopologyIsDefault(t *testing.T) {
 // over every trunk (cross-rack placement working) and keep hostCC's
 // marking active at the receivers.
 func TestCrossRackIncast(t *testing.T) {
-	opts := DefaultOptions()
+	opts := DefaultConfig()
 	opts.Topology = fabric.LeafSpine(0, 0)
 	opts.Senders = 16
 	opts.Receivers = 2
