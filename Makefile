@@ -81,13 +81,15 @@ staticcheck:
 		echo "staticcheck not installed; skipping (go install honnef.co/go/tools/cmd/staticcheck@latest)"; \
 	fi
 
-# Determinism gate: golden digests, checkpoint replay, sentinel.
+# Determinism gate: golden digests, checkpoint replay, sentinel, and the
+# verified-run comparison table.
 replay:
-	$(GO) test ./internal/testbed/ -run 'TestGoldenDigest|TestReplay|TestSentinel|TestDivergence|TestCheckpoint' -count=1
+	$(GO) test ./internal/testbed/ -run 'TestGoldenDigest|TestReplay|TestSentinel|TestDivergence|TestCheckpoint|TestVerified' -count=1
 
 # Scale-out smoke: a short leaf-spine run with replay verification — the
-# bench runs the fabric twice and fails unless every digest frame and the
-# final combined digest match bit-for-bit. Fast enough for CI (~2 s).
+# bench runs the fabric twice through testbed.RunVerified and fails unless
+# the frame count, every digest frame and the final per-component digests
+# match bit-for-bit. Fast enough for CI (~2 s).
 topology-smoke:
 	$(GO) run ./cmd/hostcc-bench -topology leafspine -senders 32 -seed 42
 
@@ -115,9 +117,9 @@ bench-parallel:
 # Sharded-engine determinism gate: (1) the golden digests match byte for
 # byte — the serial rows (one plain engine on the same construction path
 # as every shard count) and the pinned 2- and 4-shard rows; (2)
-# multi-shard runs are run-twice deterministic (VerifyReplay executes
-# every sharded run twice and compares digest timelines frame by frame);
-# (3) the chaos acceptance rows hold at 4 shards.
+# multi-shard runs are run-twice deterministic (each goes through
+# testbed.RunVerified: executed twice, recordings compared frame by frame
+# and at the final state); (3) the chaos acceptance rows hold at 4 shards.
 parallel-determinism:
 	$(GO) test ./internal/testbed/ -run 'TestGoldenDigest|TestTopologyGoldenDigests' -count=1
 	$(GO) test ./internal/testbed/ ./internal/sim/ -run 'TestSharded|TestShard' -count=1

@@ -14,10 +14,6 @@ import (
 	"repro/internal/testbed"
 )
 
-// rtt is the nominal base RTT used to express recovery budgets, matching
-// the chaos harness's accounting unit.
-const rtt = 44 * sim.Microsecond
-
 // digestEvery is the digest-frame recording period for the determinism
 // oracle. Both executions of a scenario record with the same period, so
 // the timelines are comparable frame for frame.
@@ -115,8 +111,7 @@ type outcome struct {
 	midErr     string // first mid-run snapshot-oracle error
 	restoreErr string // post-run restore-accept error
 
-	timeline *snapshot.Timeline
-	digest   uint64
+	rec snapshot.Recording // digest frames and final state
 }
 
 // faultSpan returns the first window opening and last window clearing of
@@ -178,10 +173,14 @@ func (s Scenario) permittedStalls(window sim.Time) map[string]bool {
 // modeling bug) are recovered into the outcome so the battery can report
 // them as an oracle failure instead of killing the search.
 func runOnce(sc Scenario, opts testbed.Config, plan faults.Plan) (o *outcome) {
-	o = &outcome{timeline: &snapshot.Timeline{}}
+	o = &outcome{}
+	var rec *testbed.Recorder
 	defer func() {
 		if r := recover(); r != nil {
 			o.panicMsg = fmt.Sprint(r)
+			if rec != nil {
+				o.rec.Timeline = rec.Timeline // the frames recorded before the panic
+			}
 		}
 	}()
 
@@ -198,14 +197,8 @@ func runOnce(sc Scenario, opts testbed.Config, plan faults.Plan) (o *outcome) {
 		victim = tb.StartNetAppL(4096, 0, nil)
 	}
 
-	reg := tb.Registry()
-	recorder := sim.NewTicker(tb.E, digestEvery, func() {
-		o.timeline.Append(snapshot.Frame{
-			At:      int64(tb.E.Now()),
-			Events:  tb.E.Processed,
-			Digests: reg.Digests(),
-		})
-	})
+	rec = tb.Record(digestEvery)
+	reg := rec.Registry
 
 	window := sentinelWindow(plan)
 	sen := tb.StartSentinel(sim.SentinelConfig{Window: window, Policy: sim.SentinelAbort})
@@ -284,7 +277,7 @@ func runOnce(sc Scenario, opts testbed.Config, plan faults.Plan) (o *outcome) {
 		const probeRTTs = 5
 		for rtts := 0; rtts < budget && !aborted(); rtts += probeRTTs {
 			tb.NetT.MarkWindow()
-			tb.E.RunFor(probeRTTs * rtt)
+			tb.E.RunFor(probeRTTs * testbed.BaseRTT)
 			o.final = tb.NetT.Throughput().Gbps()
 			if o.final >= target {
 				o.recovered = true
@@ -309,9 +302,7 @@ func runOnce(sc Scenario, opts testbed.Config, plan faults.Plan) (o *outcome) {
 	tb.HCC.Stop()
 	tb.Inv.Stop()
 	sen.Stop()
-	recorder.Stop()
-
-	o.digest = snapshot.Combined(reg.Digests())
+	o.rec = rec.Stop()
 
 	// Restore-accept: every component must take back its own final state
 	// image (full byte consumption, no error). The engine is exempt — it
@@ -366,8 +357,8 @@ func Run(sc Scenario) (Verdict, error) {
 		VictimP999Ns:    o1.p999,
 		InvariantChecks: o1.invChecks,
 		StallClass:      o1.stallClass,
-		Digest:          o1.digest,
-		Frames:          o1.timeline.Len(),
+		Digest:          o1.rec.Digest(),
+		Frames:          o1.rec.Timeline.Len(),
 	}
 	fail := func(oracle, detail string) {
 		v.Failures = append(v.Failures, Failure{Oracle: oracle, Detail: detail})
@@ -385,14 +376,12 @@ func Run(sc Scenario) (Verdict, error) {
 
 	// Determinism: two executions of the same scenario must agree on
 	// everything. A panic must reproduce verbatim; panic-free runs must
-	// match digest for digest.
+	// match digest for digest (snapshot.Compare, the verified-run check).
 	if o1.panicMsg != o2.panicMsg {
 		fail(OracleDeterminism, fmt.Sprintf("panic diverges between runs: %q vs %q", o1.panicMsg, o2.panicMsg))
 	} else if o1.panicMsg == "" {
-		if o1.digest != o2.digest {
-			fail(OracleDeterminism, fmt.Sprintf("final digest diverges: %016x vs %016x", o1.digest, o2.digest))
-		} else if div, found := snapshot.FirstDivergence(o1.timeline, o2.timeline); found {
-			fail(OracleDeterminism, fmt.Sprintf("digest timeline diverges at frame %d, component %q", div.FrameIndex, div.Component))
+		if div := snapshot.Compare(&o1.rec, &o2.rec); div != nil {
+			fail(OracleDeterminism, "digest recordings diverge: "+div.String())
 		} else if !bytes.Equal(o1.midImg, o2.midImg) {
 			fail(OracleDeterminism, "mid-run state images differ between runs")
 		}

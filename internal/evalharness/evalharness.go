@@ -271,11 +271,11 @@ func cellConfig(spec CellSpec, cfg Config) (testbed.Config, error) {
 }
 
 // runCell executes one cell once and returns its result plus the digest
-// timeline for replay verification.
-func runCell(spec CellSpec, cfg Config) (CellResult, *snapshot.Timeline, error) {
+// recording for replay verification.
+func runCell(spec CellSpec, cfg Config) (CellResult, snapshot.Recording, error) {
 	opts, err := cellConfig(spec, cfg)
 	if err != nil {
-		return CellResult{}, nil, err
+		return CellResult{}, snapshot.Recording{}, err
 	}
 	tb := testbed.New(opts)
 	defer tb.Close()
@@ -286,25 +286,10 @@ func runCell(spec CellSpec, cfg Config) (CellResult, *snapshot.Timeline, error) 
 	// Digest recorder (replay verification) and goodput series
 	// (convergence estimation). Both run on the coordinator in sharded
 	// mode, reading quiesced global state.
-	reg := tb.Registry()
-	timeline := &snapshot.Timeline{}
-	recording := true
-	tb.Every(cfg.DigestEvery, func() {
-		if !recording {
-			return
-		}
-		timeline.Append(snapshot.Frame{
-			At:      int64(tb.Now()),
-			Events:  tb.Processed(),
-			Digests: reg.Digests(),
-		})
-	})
+	rec := tb.Record(cfg.DigestEvery)
 	var series []float64
 	var lastBytes int64
 	tb.Every(cfg.SampleEvery, func() {
-		if !recording {
-			return
-		}
 		b := tb.NetT.DeliveredBytes()
 		series = append(series, sim.Rate(float64(b-lastBytes)/cfg.SampleEvery.Seconds()).Gbps())
 		lastBytes = b
@@ -319,7 +304,7 @@ func runCell(spec CellSpec, cfg Config) (CellResult, *snapshot.Timeline, error) 
 	for _, h := range tb.HCCs {
 		h.Stop()
 	}
-	recording = false
+	recording := rec.Stop()
 
 	res := CellResult{
 		CellSpec:     spec,
@@ -329,40 +314,31 @@ func runCell(spec CellSpec, cfg Config) (CellResult, *snapshot.Timeline, error) 
 		VictimRPCs:   int(victim.Latency.Count()),
 		Retx:         m.NetRetx,
 		Timeouts:     m.NetTimeouts,
-		Digest:       snapshot.Combined(reg.Digests()),
+		Digest:       recording.Digest(),
 	}
 	if idx := ConvergenceIndex(series, cfg.ConvergenceTol); idx >= 0 {
 		res.ConvergenceUs = float64(idx) * cfg.SampleEvery.Micros()
 	} else {
 		res.ConvergenceUs = -1
 	}
-	return res, timeline, nil
+	return res, recording, nil
 }
 
-// runCellVerified runs one cell, then (unless disabled) replays it and
-// fails loudly on any digest divergence — every reported number comes
-// from a reproducible simulation.
+// runCellVerified runs one cell through testbed.RunVerified (twice unless
+// disabled) and fails loudly on any digest divergence — every reported
+// number comes from a reproducible simulation.
 func runCellVerified(spec CellSpec, cfg Config) (CellResult, error) {
-	res, tl, err := runCell(spec, cfg)
+	res, div, err := testbed.RunVerified(!cfg.NoVerify, func() (CellResult, snapshot.Recording, error) {
+		return runCell(spec, cfg)
+	})
 	if err != nil {
 		return CellResult{}, err
 	}
-	if cfg.NoVerify {
-		return res, nil
-	}
-	res2, tl2, err := runCell(spec, cfg)
-	if err != nil {
-		return CellResult{}, fmt.Errorf("evalharness: replay: %w", err)
-	}
-	if div, found := snapshot.FirstDivergence(tl, tl2); found {
+	if div != nil {
 		return CellResult{}, fmt.Errorf("evalharness: cell %s/%s/%s replay diverged: %s",
 			spec.Scheme, spec.Topology, spec.Workload, div)
 	}
-	if res2.Digest != res.Digest {
-		return CellResult{}, fmt.Errorf("evalharness: cell %s/%s/%s replay final digest %#016x != %#016x",
-			spec.Scheme, spec.Topology, spec.Workload, res2.Digest, res.Digest)
-	}
-	res.Verified = true
+	res.Verified = !cfg.NoVerify
 	return res, nil
 }
 

@@ -23,8 +23,48 @@ func (t *Timeline) Append(f Frame) { t.Frames = append(t.Frames, f) }
 // Len returns the number of frames.
 func (t *Timeline) Len() int { return len(t.Frames) }
 
+// Recording is one execution's digest evidence: the periodic frames and
+// the final state, kept as one more frame.
+type Recording struct {
+	Timeline Timeline
+	Final    Frame
+}
+
+// Digest returns the combined hash of the final state.
+func (r Recording) Digest() uint64 { return Combined(r.Final.Digests) }
+
+// Compare is the replay check on two recordings of one configuration. It
+// reports, in order: the first divergent component of the common frames
+// (FirstDivergence), a differing frame count, then the first divergent
+// component of the final state — so the combined final digests match
+// exactly when Compare finds nothing. nil means the recordings agree.
+func Compare(a, b *Recording) *Divergence {
+	if d, found := FirstDivergence(&a.Timeline, &b.Timeline); found {
+		return &d
+	}
+	na, nb := a.Timeline.Len(), b.Timeline.Len()
+	if na != nb {
+		extra := a.Timeline.Frames
+		if nb > na {
+			extra = b.Timeline.Frames
+		}
+		f := extra[min(na, nb)]
+		return &Divergence{Component: "(frame count)", At: f.At, Events: f.Events,
+			FrameIndex: min(na, nb), AHash: uint64(na), BHash: uint64(nb)}
+	}
+	fa, fb := Timeline{Frames: []Frame{a.Final}}, Timeline{Frames: []Frame{b.Final}}
+	if d, found := FirstDivergence(&fa, &fb); found {
+		d.FrameIndex = na
+		return &d
+	}
+	return nil
+}
+
 // Divergence identifies the first component whose digest differs between
-// two runs — the "pcie credit counter diverged at t=83ms" answer.
+// two runs — the "pcie credit counter diverged at t=83ms" answer. A
+// frame-count mismatch names component "(frame count)" at the first
+// unmatched frame, with the two counts in AHash/BHash; a final-state
+// mismatch has FrameIndex equal to the frame count.
 type Divergence struct {
 	Component  string
 	At         int64 // virtual time of the first divergent frame

@@ -13,10 +13,10 @@ import (
 	"repro/internal/transport"
 )
 
-// chaosRTT is the nominal base RTT of the testbed topology (4 × 9 µs
-// propagation plus serialization and host turnaround) used to express
-// recovery times in RTTs, the unit the acceptance criterion is stated in.
-const chaosRTT = 44 * sim.Microsecond
+// BaseRTT is the nominal base RTT of the testbed topology (4 × 9 µs
+// propagation plus serialization and host turnaround), the unit recovery
+// times and budgets are stated in (chaos acceptance, crucible probes).
+const BaseRTT = 44 * sim.Microsecond
 
 // ChaosConfig parameterizes one chaos run: a fault scenario injected into
 // a loaded testbed, with throughput tracked through the fault and out the
@@ -79,10 +79,6 @@ type ChaosConfig struct {
 	// lossless scenarios pfc-storm, pause-loss and congestion-spread;
 	// settable to put any other scenario on the lossless fabric).
 	Lossless bool
-	// VerifyReplay re-executes the completed run and confirms the digest
-	// timeline reproduces frame for frame (the scale-out testbed's replay
-	// verification applied to chaos). Implies digest recording.
-	VerifyReplay bool
 }
 
 // scenarioInfo looks up the shared scenario registry (faults.Scenarios is
@@ -133,9 +129,6 @@ func (c ChaosConfig) withDefaults() ChaosConfig {
 		if c.Scenario == "trunk-flap" {
 			c.RecoveryRTTBudget = 150
 		}
-	}
-	if c.VerifyReplay && c.DigestEvery == 0 {
-		c.DigestEvery = 500 * sim.Microsecond
 	}
 	if c.CheckpointEvery > 0 && c.DigestEvery == 0 {
 		c.DigestEvery = 500 * sim.Microsecond
@@ -188,12 +181,6 @@ type ChaosResult struct {
 	// on abort ("" when none was written).
 	Stall         *sim.StallReport
 	StallSnapshot string
-
-	// ReplayVerified reports that the VerifyReplay re-execution matched
-	// the recording (always false when VerifyReplay was off);
-	// ReplayFrames is how many digest frames were compared.
-	ReplayVerified bool
-	ReplayFrames   int
 }
 
 // RunChaos executes one chaos scenario: build a loaded testbed with the
@@ -203,35 +190,20 @@ type ChaosResult struct {
 // runs out. The entire run — fault timing, probabilistic drops, transport
 // behavior — is a deterministic function of cfg.
 func RunChaos(cfg ChaosConfig) (ChaosResult, error) {
-	cfg = cfg.withDefaults()
-	res, tl, err := runChaos(cfg)
-	if err != nil || !cfg.VerifyReplay {
-		return res, err
-	}
-	// Replay verification: the run is a pure function of cfg, so a second
-	// execution must reproduce every digest frame and the final combined
-	// digest bit for bit.
-	res2, tl2, err := runChaos(cfg)
-	if err != nil {
-		return res, fmt.Errorf("testbed: chaos replay: %w", err)
-	}
-	if _, diverged := snapshot.FirstDivergence(tl, tl2); !diverged && res.Digest == res2.Digest && tl.Len() > 0 {
-		res.ReplayVerified = true
-		res.ReplayFrames = tl.Len()
-	}
-	return res, nil
+	res, _, err := runChaos(cfg)
+	return res, err
 }
 
-// runChaos is RunChaos plus the recorded digest timeline (used by the
-// replay verifier).
-func runChaos(cfg ChaosConfig) (ChaosResult, *snapshot.Timeline, error) {
+// runChaos is RunChaos plus the run's digest recording (what RunVerified
+// compares and ResumeChaos checks a checkpoint against).
+func runChaos(cfg ChaosConfig) (ChaosResult, snapshot.Recording, error) {
 	cfg = cfg.withDefaults()
 	plan := cfg.Plan
 	scenarioKey := ""
 	if plan == nil {
 		p, err := faults.Builtin(cfg.Scenario, cfg.FaultAt, cfg.FaultFor)
 		if err != nil {
-			return ChaosResult{}, nil, err
+			return ChaosResult{}, snapshot.Recording{}, err
 		}
 		plan = &p
 		scenarioKey = plan.Name
@@ -241,7 +213,7 @@ func runChaos(cfg ChaosConfig) (ChaosResult, *snapshot.Timeline, error) {
 		scenarioKey = "custom:" + plan.Name
 	}
 	if cfg.CheckpointEvery > 0 && cfg.CheckpointPath == "" {
-		return ChaosResult{}, nil, fmt.Errorf("testbed: ChaosConfig.CheckpointEvery set without CheckpointPath")
+		return ChaosResult{}, snapshot.Recording{}, fmt.Errorf("testbed: ChaosConfig.CheckpointEvery set without CheckpointPath")
 	}
 	info := scenarioInfo(plan.Name)
 	topoName := cfg.Topology
@@ -250,11 +222,11 @@ func runChaos(cfg ChaosConfig) (ChaosResult, *snapshot.Timeline, error) {
 	}
 	topoKind, err := fabric.ParseTopologyKind(topoName)
 	if err != nil {
-		return ChaosResult{}, nil, err
+		return ChaosResult{}, snapshot.Recording{}, err
 	}
 	scheme, err := transport.SchemeByName(cfg.Scheme)
 	if err != nil {
-		return ChaosResult{}, nil, err
+		return ChaosResult{}, snapshot.Recording{}, err
 	}
 	wd := core.DefaultWatchdogConfig()
 	opts := DefaultConfig()
@@ -285,7 +257,7 @@ func runChaos(cfg ChaosConfig) (ChaosResult, *snapshot.Timeline, error) {
 		// and the wait graph closes into a pfc cycle. No PFC watchdog —
 		// the storm is supposed to wedge the fabric until it clears.
 		if topoKind != fabric.TopoLeafSpine {
-			return ChaosResult{}, nil, fmt.Errorf("testbed: pfc-storm requires the leafspine topology, not %q", topoKind)
+			return ChaosResult{}, snapshot.Recording{}, fmt.Errorf("testbed: pfc-storm requires the leafspine topology, not %q", topoKind)
 		}
 		opts.Topology = fabric.Topology{Kind: fabric.TopoLeafSpine, Leaves: 2, Spines: 1}
 		// Trunk pair of leaf 1 (the sender rack): up leaf1->spine0 and
@@ -297,7 +269,7 @@ func runChaos(cfg ChaosConfig) (ChaosResult, *snapshot.Timeline, error) {
 		opts.PauseWatchdog = 150 * sim.Microsecond
 	}
 	if err := opts.Validate(); err != nil {
-		return ChaosResult{}, nil, err
+		return ChaosResult{}, snapshot.Recording{}, err
 	}
 
 	tb := New(opts)
@@ -309,47 +281,31 @@ func runChaos(cfg ChaosConfig) (ChaosResult, *snapshot.Timeline, error) {
 
 	tb.StartNetAppT()
 
-	// Determinism instrumentation: the registry covers every component,
-	// the recorder samples digest frames (and captures checkpoints inside
-	// its own ticks, so the capture never perturbs event ordering relative
-	// to a same-config run), and the sentinel watches for stalled progress.
-	reg := tb.Registry()
-	timeline := &snapshot.Timeline{}
+	// Determinism instrumentation: the recorder samples digest frames (and
+	// captures checkpoints inside its own ticks, so the capture never
+	// perturbs event ordering relative to a same-config run), and the
+	// sentinel watches for stalled progress.
+	rec := tb.Record(cfg.DigestEvery)
 	meta := chaosMeta(cfg, scenarioKey, topoKind.String())
 	capture := func() *snapshot.Checkpoint {
 		return &snapshot.Checkpoint{
 			Meta:        meta,
 			VirtualTime: int64(tb.Now()),
 			Events:      tb.Processed(),
-			Timeline:    *timeline,
-			State:       reg.EncodeAll(),
+			Timeline:    rec.Timeline,
+			State:       rec.Registry.EncodeAll(),
 		}
 	}
-	recording := false
-	var lastBucket uint64
-	if cfg.DigestEvery > 0 {
-		// In sharded mode the recorder runs as a coordinator hook: every
-		// shard is quiesced at the hook point, so the registry digest reads
-		// one consistent global state.
-		recording = true
-		tb.Every(cfg.DigestEvery, func() {
-			if !recording {
-				return
-			}
-			timeline.Append(snapshot.Frame{
-				At:      int64(tb.Now()),
-				Events:  tb.Processed(),
-				Digests: reg.Digests(),
-			})
-			if cfg.CheckpointEvery > 0 {
-				if bucket := tb.Processed() / cfg.CheckpointEvery; bucket > lastBucket {
-					lastBucket = bucket
-					if err := capture().WriteFile(cfg.CheckpointPath); err == nil {
-						res.Checkpoints++
-					}
+	if cfg.CheckpointEvery > 0 {
+		var lastBucket uint64
+		rec.OnFrame = func() {
+			if bucket := tb.Processed() / cfg.CheckpointEvery; bucket > lastBucket {
+				lastBucket = bucket
+				if err := capture().WriteFile(cfg.CheckpointPath); err == nil {
+					res.Checkpoints++
 				}
 			}
-		})
+		}
 	}
 
 	var sen *sim.Sentinel
@@ -389,7 +345,7 @@ func runChaos(cfg ChaosConfig) (ChaosResult, *snapshot.Timeline, error) {
 
 	// Probe recovery in 5-RTT windows after the fault clears.
 	const probeRTTs = 5
-	probe := probeRTTs * chaosRTT
+	probe := probeRTTs * BaseRTT
 	target := 0.9 * res.BaselineGbps
 	res.RecoveryRTTs = -1
 	for rtts := 0; rtts < cfg.RecoveryRTTBudget && !aborted(); rtts += probeRTTs {
@@ -421,11 +377,11 @@ func runChaos(cfg ChaosConfig) (ChaosResult, *snapshot.Timeline, error) {
 		res.Stall = sen.Report()
 		sen.Stop()
 	}
-	recording = false
-	res.Frames = timeline.Len()
-	res.ComponentDigests = reg.Digests()
-	res.Digest = snapshot.Combined(res.ComponentDigests)
-	return res, timeline, nil
+	recording := rec.Stop()
+	res.Frames = recording.Timeline.Len()
+	res.ComponentDigests = recording.Final.Digests
+	res.Digest = recording.Digest()
+	return res, recording, nil
 }
 
 // chaosMeta flattens the (defaulted) run configuration into checkpoint
@@ -530,13 +486,13 @@ func ResumeChaos(path string) (ReplayReport, error) {
 	if err != nil {
 		return ReplayReport{}, err
 	}
-	res, tl, err := runChaos(cfg)
+	res, rec, err := runChaos(cfg)
 	if err != nil {
 		return ReplayReport{}, fmt.Errorf("testbed: replay %s: %w", path, err)
 	}
 	rep := ReplayReport{Result: res}
-	rep.FramesChecked = min(len(ck.Timeline.Frames), tl.Len())
-	if div, found := snapshot.FirstDivergence(&ck.Timeline, tl); found {
+	rep.FramesChecked = min(len(ck.Timeline.Frames), rec.Timeline.Len())
+	if div, found := snapshot.FirstDivergence(&ck.Timeline, &rec.Timeline); found {
 		rep.Divergence = &div
 	} else {
 		rep.Verified = rep.FramesChecked > 0

@@ -6,7 +6,14 @@ import (
 
 	"repro/internal/faults"
 	"repro/internal/sim"
+	"repro/internal/snapshot"
 )
+
+// verifiedChaos runs one chaos config through the verified-run primitive:
+// once, or twice with the two recordings compared when verify is set.
+func verifiedChaos(verify bool, cfg ChaosConfig) (ChaosResult, *snapshot.Divergence, error) {
+	return RunVerified(verify, func() (ChaosResult, snapshot.Recording, error) { return runChaos(cfg) })
+}
 
 // TestChaosGracefulDegradation is the acceptance suite: for each core
 // fault scenario the system must keep its invariants, avoid deadlock (the
@@ -56,12 +63,11 @@ func TestChaosGracefulDegradation(t *testing.T) {
 			if budget == 0 {
 				budget = 50
 			}
-			r, err := RunChaos(ChaosConfig{
-				Scenario:          c.scenario,
-				Seed:              7,
-				RecoveryRTTBudget: budget,
-				VerifyReplay:      c.verifyReplay,
-			})
+			cfg := ChaosConfig{Scenario: c.scenario, Seed: 7, RecoveryRTTBudget: budget}
+			if c.verifyReplay {
+				cfg.DigestEvery = 500 * sim.Microsecond
+			}
+			r, div, err := verifiedChaos(c.verifyReplay, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -94,10 +100,10 @@ func TestChaosGracefulDegradation(t *testing.T) {
 				t.Error("no fault window transitions recorded — injector not armed?")
 			}
 			if c.verifyReplay {
-				if !r.ReplayVerified {
-					t.Error("replay verification failed: second execution diverged from the first")
+				if div != nil {
+					t.Errorf("replay verification failed: %s", div)
 				}
-				if r.ReplayFrames == 0 {
+				if r.Frames == 0 {
 					t.Error("replay verified zero digest frames")
 				}
 			}

@@ -104,12 +104,19 @@ func TestFluidVsPacketValidation(t *testing.T) {
 	}
 }
 
-// fluidChaosDigest builds a loaded dumbbell with promotable fluid flows
-// and a trunk-flap fault window, runs it, and returns the digest
-// timeline plus transition counts. The flap faults the trunk seam
-// resources, so the promotable flows crossing them must promote during
-// the window and demote after it clears.
-func fluidChaosDigest(t *testing.T) (*snapshot.Timeline, uint64, uint64, uint64) {
+// fluidChaosResult is what one fluid chaos run reports besides its
+// digest recording.
+type fluidChaosResult struct {
+	promotions, demotions uint64
+	frames                int
+}
+
+// fluidChaosRun builds a loaded dumbbell with promotable fluid flows and
+// a trunk-flap fault window, runs it, and returns the transition counts
+// with the digest recording. The flap faults the trunk seam resources, so
+// the promotable flows crossing them must promote during the window and
+// demote after it clears.
+func fluidChaosRun(t *testing.T) (fluidChaosResult, snapshot.Recording, error) {
 	t.Helper()
 	plan, err := faults.Builtin("trunk-flap", 3*sim.Millisecond, 600*sim.Microsecond)
 	if err != nil {
@@ -133,14 +140,10 @@ func fluidChaosDigest(t *testing.T) (*snapshot.Timeline, uint64, uint64, uint64)
 	tb := New(opts)
 	defer tb.Close()
 	tb.StartNetAppT()
-	reg := tb.Registry()
-	tl := &snapshot.Timeline{}
-	tb.Every(500*sim.Microsecond, func() {
-		tl.Append(snapshot.Frame{At: int64(tb.Now()), Events: tb.Processed(), Digests: reg.Digests()})
-	})
+	rec := tb.Record(500 * sim.Microsecond)
 	tb.RunWindow()
-	return tl, tb.FluidNet.Promotions(), tb.FluidNet.Demotions(),
-		snapshot.Combined(reg.Digests())
+	recording := rec.Stop()
+	return fluidChaosResult{tb.FluidNet.Promotions(), tb.FluidNet.Demotions(), recording.Timeline.Len()}, recording, nil
 }
 
 // TestFluidPromoteDemoteDeterminism: a trunk-flap window promotes the
@@ -148,21 +151,20 @@ func fluidChaosDigest(t *testing.T) (*snapshot.Timeline, uint64, uint64, uint64)
 // two identically configured runs reproduce the digest timeline —
 // including the "fluid" component — frame for frame.
 func TestFluidPromoteDemoteDeterminism(t *testing.T) {
-	tl1, promos, demos, d1 := fluidChaosDigest(t)
-	if promos == 0 {
+	res, div, err := RunVerified(true, func() (fluidChaosResult, snapshot.Recording, error) { return fluidChaosRun(t) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.promotions == 0 {
 		t.Fatal("trunk-flap window promoted no fluid flows")
 	}
-	if demos == 0 {
+	if res.demotions == 0 {
 		t.Fatal("no fluid flow demoted after the fault cleared")
 	}
-	tl2, _, _, d2 := fluidChaosDigest(t)
-	if div, found := snapshot.FirstDivergence(tl1, tl2); found {
+	if div != nil {
 		t.Fatalf("fluid chaos replay diverged: %s", div)
 	}
-	if d1 != d2 {
-		t.Fatalf("final digests differ: %#016x vs %#016x", d1, d2)
-	}
-	if tl1.Len() == 0 {
+	if res.frames == 0 {
 		t.Fatal("no digest frames recorded")
 	}
 }

@@ -77,12 +77,12 @@ func TestShardedChaosAcceptance(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.scenario, func(t *testing.T) {
-			r, err := RunChaos(ChaosConfig{
+			r, div, err := verifiedChaos(true, ChaosConfig{
 				Scenario:          c.scenario,
 				Seed:              7,
 				Shards:            4,
 				RecoveryRTTBudget: c.budget,
-				VerifyReplay:      true,
+				DigestEvery:       500 * sim.Microsecond,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -100,8 +100,8 @@ func TestShardedChaosAcceptance(t *testing.T) {
 			if r.FaultEvents == 0 {
 				t.Error("no fault window transitions recorded — injector not armed?")
 			}
-			if !r.ReplayVerified {
-				t.Error("replay verification failed: second execution diverged from the first")
+			if div != nil || r.Frames == 0 {
+				t.Errorf("replay verification failed over %d frames: %v", r.Frames, div)
 			}
 		})
 	}

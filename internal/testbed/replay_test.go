@@ -13,10 +13,11 @@ import (
 )
 
 // TestGoldenDigestDeterminism: two same-seed chaos runs must end in
-// bit-identical component state — the combined digest and every
-// per-component digest match. This is the strongest determinism check the
-// repo has: it covers engine, RNG, every device model, transport, hostCC
-// and the fault injector, not just the reported metrics.
+// bit-identical component state — RunVerified compares every
+// per-component digest of the final state and names the first that
+// differs. This is the strongest determinism check the repo has: it
+// covers engine, RNG, every device model, transport, hostCC and the fault
+// injector, not just the reported metrics.
 func TestGoldenDigestDeterminism(t *testing.T) {
 	scenarios := ChaosScenarios()
 	if testing.Short() {
@@ -24,27 +25,15 @@ func TestGoldenDigestDeterminism(t *testing.T) {
 	}
 	for _, sc := range scenarios {
 		t.Run(sc, func(t *testing.T) {
-			run := func() ChaosResult {
-				r, err := RunChaos(ChaosConfig{Scenario: sc, Seed: 13})
-				if err != nil {
-					t.Fatal(err)
-				}
-				return r
+			r, div, err := verifiedChaos(true, ChaosConfig{Scenario: sc, Seed: 13})
+			if err != nil {
+				t.Fatal(err)
 			}
-			a, b := run(), run()
-			if a.Digest == 0 {
+			if r.Digest == 0 {
 				t.Fatal("final digest was never computed")
 			}
-			if a.Digest != b.Digest {
-				if !reflect.DeepEqual(a.ComponentDigests, b.ComponentDigests) {
-					for i := range a.ComponentDigests {
-						if a.ComponentDigests[i] != b.ComponentDigests[i] {
-							t.Fatalf("component %q digest diverged between same-seed runs: %#x vs %#x",
-								a.ComponentDigests[i].Component, a.ComponentDigests[i].Hash, b.ComponentDigests[i].Hash)
-						}
-					}
-				}
-				t.Fatalf("combined digest diverged between same-seed runs: %#x vs %#x", a.Digest, b.Digest)
+			if div != nil {
+				t.Fatalf("same-seed runs diverged: %s", div)
 			}
 		})
 	}
@@ -214,7 +203,7 @@ func TestSentinelEscapeReclaimsCredits(t *testing.T) {
 // first" answer the tentpole promises.
 func TestDivergenceDetectorPinpointsComponent(t *testing.T) {
 	run := func(seed int64) *snapshot.Timeline {
-		_, tl, err := runChaos(ChaosConfig{
+		_, rec, err := runChaos(ChaosConfig{
 			Scenario:    "credit-stall",
 			Seed:        seed,
 			DigestEvery: 500 * sim.Microsecond,
@@ -222,7 +211,7 @@ func TestDivergenceDetectorPinpointsComponent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return tl
+		return &rec.Timeline
 	}
 	a, b := run(1), run(2)
 	div, found := snapshot.FirstDivergence(a, b)

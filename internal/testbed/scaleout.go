@@ -58,9 +58,9 @@ type ScaleOutConfig struct {
 
 	// DigestEvery is the digest-frame recording period (0 = 500 µs).
 	DigestEvery sim.Time
-	// VerifyReplay re-executes the run from the same config and compares
-	// the two digest timelines frame by frame; a divergence is returned
-	// as an error naming the most upstream divergent component.
+	// VerifyReplay runs the config twice through RunVerified; a
+	// divergence is returned as an error naming the most upstream
+	// divergent component.
 	VerifyReplay bool
 }
 
@@ -171,37 +171,26 @@ func (r ScaleOutResult) String() string {
 // cfg: same config, same digest timeline, frame for frame.
 func RunScaleOut(cfg ScaleOutConfig) (ScaleOutResult, error) {
 	cfg = cfg.withDefaults()
-	res, tl, err := runScaleOut(cfg)
-	if err != nil {
-		return res, err
+	res, div, err := RunVerified(cfg.VerifyReplay, func() (ScaleOutResult, snapshot.Recording, error) {
+		return runScaleOut(cfg)
+	})
+	if err == nil && div != nil {
+		err = fmt.Errorf("testbed: scale-out replay diverged: %s", div)
 	}
-	if cfg.VerifyReplay {
-		res2, tl2, err := runScaleOut(cfg)
-		if err != nil {
-			return res, fmt.Errorf("testbed: scale-out replay: %w", err)
-		}
-		if div, found := snapshot.FirstDivergence(tl, tl2); found {
-			return res, fmt.Errorf("testbed: scale-out replay diverged: %s", div)
-		}
-		if res2.Digest != res.Digest {
-			return res, fmt.Errorf("testbed: scale-out replay final digest %#016x != %#016x",
-				res2.Digest, res.Digest)
-		}
-		res.Verified = true
-	}
-	return res, nil
+	res.Verified = err == nil && cfg.VerifyReplay
+	return res, err
 }
 
 // runScaleOut is one execution: build, load, record, measure.
-func runScaleOut(cfg ScaleOutConfig) (ScaleOutResult, *snapshot.Timeline, error) {
+func runScaleOut(cfg ScaleOutConfig) (ScaleOutResult, snapshot.Recording, error) {
 	kind, err := fabric.ParseTopologyKind(cfg.Topology)
 	if err != nil {
-		return ScaleOutResult{}, nil, err
+		return ScaleOutResult{}, snapshot.Recording{}, err
 	}
 	topo := fabric.Topology{Kind: kind, Leaves: cfg.Leaves, Spines: cfg.Spines}
 	scheme, err := transport.SchemeByName(cfg.Scheme)
 	if err != nil {
-		return ScaleOutResult{}, nil, err
+		return ScaleOutResult{}, snapshot.Recording{}, err
 	}
 
 	opts := DefaultConfig()
@@ -233,7 +222,7 @@ func runScaleOut(cfg ScaleOutConfig) (ScaleOutResult, *snapshot.Timeline, error)
 		}
 	}
 	if err := opts.Validate(); err != nil {
-		return ScaleOutResult{}, nil, err
+		return ScaleOutResult{}, snapshot.Recording{}, err
 	}
 
 	tb := New(opts)
@@ -250,23 +239,7 @@ func runScaleOut(cfg ScaleOutConfig) (ScaleOutResult, *snapshot.Timeline, error)
 		Shards:    opts.Shards,
 	}
 	tb.StartNetAppT()
-
-	// The recorder runs on the coordinator in sharded mode: every shard is
-	// quiesced at the hook, so the registry digest reads a consistent
-	// global state at one virtual time.
-	reg := tb.Registry()
-	timeline := &snapshot.Timeline{}
-	recording := true
-	tb.Every(cfg.DigestEvery, func() {
-		if !recording {
-			return
-		}
-		timeline.Append(snapshot.Frame{
-			At:      int64(tb.Now()),
-			Events:  tb.Processed(),
-			Digests: reg.Digests(),
-		})
-	})
+	rec := tb.Record(cfg.DigestEvery)
 
 	m := tb.RunWindow()
 	res.ThroughputGbps = m.ThroughputGbps
@@ -294,9 +267,9 @@ func runScaleOut(cfg ScaleOutConfig) (ScaleOutResult, *snapshot.Timeline, error)
 	for _, h := range tb.HCCs {
 		h.Stop()
 	}
-	recording = false
-	res.Frames = timeline.Len()
-	res.ComponentDigests = reg.Digests()
-	res.Digest = snapshot.Combined(res.ComponentDigests)
-	return res, timeline, nil
+	recording := rec.Stop()
+	res.Frames = recording.Timeline.Len()
+	res.ComponentDigests = recording.Final.Digests
+	res.Digest = recording.Digest()
+	return res, recording, nil
 }
