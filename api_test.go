@@ -30,6 +30,47 @@ func TestNewValidatesOptions(t *testing.T) {
 	}
 }
 
+// TestBadInputsReturnErrors drives invalid inputs through every public
+// entry point that accepts a config: each must come back as an error,
+// never a panic.
+func TestBadInputsReturnErrors(t *testing.T) {
+	newErr := func(opts ...Option) func() error {
+		return func() error { _, err := New(opts...); return err }
+	}
+	chaosErr := func(cfg ChaosConfig) func() error {
+		return func() error { _, err := RunChaos(cfg); return err }
+	}
+	losslessErr := func(cfg LosslessStudyConfig) func() error {
+		return func() error { _, err := RunLosslessStudy(cfg); return err }
+	}
+	for _, tc := range []struct {
+		name string
+		run  func() error
+	}{
+		{"MTU within headers", newErr(WithMTU(10))},
+		{"fixed level above the MBA table", newErr(WithFixedLevel(9))},
+		{"fault plan with negative duration", newErr(WithFaultPlan(&FaultPlan{
+			Injections: []FaultInjection{FaultOneShot(FaultLinkFlap, Millisecond, -Microsecond)}}))},
+		{"fault plan with period within duration", newErr(WithFaultPlan(&FaultPlan{
+			Injections: []FaultInjection{FaultPeriodic(FaultPCIeStall, Millisecond, Millisecond, Microsecond, 2)}}))},
+		{"chaos with negative fault duration", chaosErr(ChaosConfig{Scenario: "link-flap", FaultFor: -1})},
+		{"chaos with negative fault start", chaosErr(ChaosConfig{Scenario: "link-flap", FaultAt: -1})},
+		{"lossless with negative RPC size", losslessErr(LosslessStudyConfig{RPCSize: -1})},
+		{"lossless with negative RPC count", losslessErr(LosslessStudyConfig{RPCCount: -1})},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("panicked instead of returning an error: %v", r)
+				}
+			}()
+			if err := tc.run(); err == nil {
+				t.Fatal("accepted")
+			}
+		})
+	}
+}
+
 func TestFunctionalOptionsRun(t *testing.T) {
 	x, err := New(quick(WithHostCongestion(3), WithHostCC())...)
 	if err != nil {

@@ -174,32 +174,8 @@ func run() error {
 	fs := flag.NewFlagSet("hostcc-bench", flag.ExitOnError)
 	f := registerFlags(fs)
 	fs.Parse(os.Args[1:])
-	fig := f.fig
-	scaleName := f.scaleName
-	chaos := f.chaos
-	seed := f.seed
-	checkpoint := f.checkpoint
-	checkpointEvery := f.checkpointEvery
-	resume := f.resume
-	verifyReplay := f.verifyReplay
-	cpuprofile := f.cpuprofile
-	memprofile := f.memprofile
-	tracePath := f.tracePath
-	timeline := f.timeline
-	degree := f.degree
-	noHostCC := f.noHostCC
-	topology := f.topology
-	senders := f.senders
-	receivers := f.receivers
-	flows := f.flows
-	leaves := f.leaves
-	spines := f.spines
-	shards := f.shards
-	noVerify := f.noVerify
-	lossless := f.lossless
-	benchParallel := f.benchParallel
 
-	stopProf, err := startProfiling(*cpuprofile, *memprofile, *tracePath)
+	stopProf, err := startProfiling(*f.cpuprofile, *f.memprofile, *f.tracePath)
 	if err != nil {
 		return err
 	}
@@ -208,29 +184,29 @@ func run() error {
 	if *f.eval {
 		return runEval(f)
 	}
-	if *timeline != "" {
-		return runTimeline(*timeline, *degree, !*noHostCC, *seed)
+	if *f.timeline != "" {
+		return runTimeline(*f.timeline, *f.degree, !*f.noHostCC, *f.seed)
 	}
-	if *benchParallel != "" {
-		return runBenchParallel(*benchParallel, *leaves, *spines, *senders, *receivers, *flows, *seed)
+	if *f.benchParallel != "" {
+		return runBenchParallel(*f.benchParallel, *f.leaves, *f.spines, *f.senders, *f.receivers, *f.flows, *f.seed)
 	}
 	if *f.benchFluid != "" {
-		return runBenchFluid(*f.benchFluid, *leaves, *spines, *f.fluidFlows, *seed)
+		return runBenchFluid(*f.benchFluid, *f.leaves, *f.spines, *f.fluidFlows, *f.seed)
 	}
-	if *topology != "" {
-		return runScaleOut(*topology, *f.scheme, *senders, *receivers, *flows, *leaves, *spines, *shards,
-			*f.fluidHosts, *f.fluidFlows, *f.fluidPromotable, *seed, !*noVerify)
+	if *f.topology != "" {
+		return runScaleOut(*f.topology, *f.scheme, *f.senders, *f.receivers, *f.flows, *f.leaves, *f.spines, *f.shards,
+			*f.fluidHosts, *f.fluidFlows, *f.fluidPromotable, *f.seed, !*f.noVerify)
 	}
-	if *lossless {
-		return runLossless(*seed, *degree)
+	if *f.lossless {
+		return runLossless(*f.seed, *f.degree)
 	}
-	if *resume != "" {
-		return resumeChaos(*resume)
+	if *f.resume != "" {
+		return resumeChaos(*f.resume)
 	}
-	if *chaos != "" {
-		return runChaos(*chaos, *f.scheme, *seed, *shards, *checkpoint, *checkpointEvery, *verifyReplay)
+	if *f.chaos != "" {
+		return runChaos(*f.chaos, *f.scheme, *f.seed, *f.shards, *f.checkpoint, *f.checkpointEvery, *f.verifyReplay)
 	}
-	if *checkpoint != "" || *verifyReplay {
+	if *f.checkpoint != "" || *f.verifyReplay {
 		return fmt.Errorf("-checkpoint and -verify-replay require -chaos <scenario>")
 	}
 
@@ -239,9 +215,9 @@ func run() error {
 		"quick":   hostcc.ScaleQuick,
 		"default": hostcc.ScaleDefault,
 		"paper":   hostcc.ScalePaper,
-	}[*scaleName]
+	}[*f.scaleName]
 	if !ok {
-		return fmt.Errorf("unknown scale %q (have bench, quick, default, paper)", *scaleName)
+		return fmt.Errorf("unknown scale %q (have bench, quick, default, paper)", *f.scaleName)
 	}
 
 	runners := map[string]func(hostcc.Scale){
@@ -280,22 +256,22 @@ func run() error {
 	}
 
 	var figs []string
-	if *fig == "all" {
+	if *f.fig == "all" {
 		for k := range runners {
 			figs = append(figs, k)
 		}
 		sort.Slice(figs, func(i, j int) bool { return atoi(figs[i]) < atoi(figs[j]) })
 	} else {
-		figs = strings.Split(*fig, ",")
+		figs = strings.Split(*f.fig, ",")
 	}
-	for _, f := range figs {
-		runFig, ok := runners[strings.TrimSpace(f)]
+	for _, fig := range figs {
+		runFig, ok := runners[strings.TrimSpace(fig)]
 		if !ok {
-			return fmt.Errorf("unknown figure %q", f)
+			return fmt.Errorf("unknown figure %q", fig)
 		}
 		start := time.Now()
 		runFig(scale)
-		fmt.Printf("  [figure %s regenerated in %.1fs at scale %q]\n\n", f, time.Since(start).Seconds(), *scaleName)
+		fmt.Printf("  [figure %s regenerated in %.1fs at scale %q]\n\n", fig, time.Since(start).Seconds(), *f.scaleName)
 	}
 	return nil
 }

@@ -1,16 +1,12 @@
 // Command hostcc-trace dumps the microscopic time-series figures (8, 18,
-// 19) as CSV files for plotting, and optionally a full Chrome/Perfetto
-// trace of an instrumented run.
+// 19) as CSV files for plotting.
 //
 // Usage:
 //
 //	hostcc-trace -out /tmp/traces -scale quick
-//	hostcc-trace -perfetto /tmp/traces/run.json -degree 3
 //
-// -perfetto skips the CSV figures and instead records one
-// telemetry-enabled experiment (per-hop packet spans plus counter tracks
-// for IIO occupancy, MBA level, queue depths and the hostCC signals) in
-// Chrome Trace Event Format; open the file at https://ui.perfetto.dev.
+// For a Chrome/Perfetto trace of one telemetry-enabled run, use
+// `hostcc-bench -timeline out.json`.
 package main
 
 import (
@@ -18,7 +14,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"time"
 
 	hostcc "repro"
 	"repro/internal/stats"
@@ -36,18 +31,12 @@ func main() {
 type traceFlags struct {
 	out       *string
 	scaleName *string
-	perfetto  *string
-	degree    *float64
-	seed      *int64
 }
 
 func registerFlags(fs *flag.FlagSet) traceFlags {
 	return traceFlags{
 		out:       fs.String("out", "traces", "output directory for CSV files"),
 		scaleName: fs.String("scale", "quick", "experiment scale: quick, default, paper"),
-		perfetto:  fs.String("perfetto", "", "write a Chrome/Perfetto trace of one telemetry-enabled run to this file (skips the CSV figures)"),
-		degree:    fs.Float64("degree", 3, "with -perfetto: degree of host congestion"),
-		seed:      fs.Int64("seed", 42, "with -perfetto: simulation seed"),
 	}
 }
 
@@ -55,44 +44,35 @@ func run() error {
 	fs := flag.NewFlagSet("hostcc-trace", flag.ExitOnError)
 	f := registerFlags(fs)
 	fs.Parse(os.Args[1:])
-	out := f.out
-	scaleName := f.scaleName
-	perfetto := f.perfetto
-	degree := f.degree
-	seed := f.seed
-
-	if *perfetto != "" {
-		return dumpPerfetto(*perfetto, *degree, *seed)
-	}
 
 	scale := map[string]hostcc.Scale{
 		"quick":   hostcc.ScaleQuick,
 		"default": hostcc.ScaleDefault,
 		"paper":   hostcc.ScalePaper,
-	}[*scaleName]
+	}[*f.scaleName]
 	if scale.Name == "" {
-		return fmt.Errorf("unknown scale %q (have quick, default, paper)", *scaleName)
+		return fmt.Errorf("unknown scale %q (have quick, default, paper)", *f.scaleName)
 	}
-	if err := os.MkdirAll(*out, 0o755); err != nil {
+	if err := os.MkdirAll(*f.out, 0o755); err != nil {
 		return fmt.Errorf("create output directory: %w", err)
 	}
 
 	fmt.Println("Figure 8 traces (baseline, 1 ms)...")
 	for _, tr := range hostcc.RunFigure8(scale) {
-		if err := dump(*out, "fig8_"+tr.Label+"_is", tr.IS); err != nil {
+		if err := dump(*f.out, "fig8_"+tr.Label+"_is", tr.IS); err != nil {
 			return err
 		}
-		if err := dump(*out, "fig8_"+tr.Label+"_bs", tr.BS); err != nil {
+		if err := dump(*f.out, "fig8_"+tr.Label+"_bs", tr.BS); err != nil {
 			return err
 		}
 	}
 
 	fmt.Println("Figure 18 traces (ablation, 1 ms)...")
 	for _, row := range hostcc.RunFigure18(scale) {
-		if err := dump(*out, "fig18_"+row.Mode.String()+"_is", row.Trace.IS); err != nil {
+		if err := dump(*f.out, "fig18_"+row.Mode.String()+"_is", row.Trace.IS); err != nil {
 			return err
 		}
-		if err := dump(*out, "fig18_"+row.Mode.String()+"_bs", row.Trace.BS); err != nil {
+		if err := dump(*f.out, "fig18_"+row.Mode.String()+"_bs", row.Trace.BS); err != nil {
 			return err
 		}
 	}
@@ -105,45 +85,10 @@ func run() error {
 	}{
 		{"fig19_is", tr.IS}, {"fig19_bs", tr.BS}, {"fig19_level", tr.Level},
 	} {
-		if err := dump(*out, series.name, series.s); err != nil {
+		if err := dump(*f.out, series.name, series.s); err != nil {
 			return err
 		}
 	}
-	return nil
-}
-
-// dumpPerfetto records one hostCC run with the event tracer attached and
-// writes the resulting timeline in Chrome Trace Event Format.
-func dumpPerfetto(path string, degree float64, seed int64) error {
-	x, err := hostcc.New(
-		hostcc.WithSeed(seed),
-		hostcc.WithHostCongestion(degree),
-		hostcc.WithHostCC(),
-		hostcc.WithTelemetry(),
-		hostcc.WithMinRTO(5*time.Millisecond),
-	)
-	if err != nil {
-		return fmt.Errorf("perfetto: %w", err)
-	}
-	res := x.Run()
-	if dir := filepath.Dir(path); dir != "." {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return fmt.Errorf("perfetto: %w", err)
-		}
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("perfetto: %w", err)
-	}
-	if err := res.Timeline.WriteChromeTrace(f); err != nil {
-		f.Close()
-		return fmt.Errorf("write %s: %w", path, err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("close %s: %w", path, err)
-	}
-	fmt.Printf("wrote %s (%d spans, %d tracks); open at https://ui.perfetto.dev\n",
-		path, res.Timeline.Spans(), res.Timeline.Tracks())
 	return nil
 }
 

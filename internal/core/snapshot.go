@@ -1,11 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"repro/internal/sim"
-	"repro/internal/snapshot"
-)
+import "repro/internal/snapshot"
 
 // Snapshot encodes the hostCC signal filters, sampler cursors, counters and
 // (when armed) the watchdog state machine.
@@ -30,49 +25,6 @@ func (h *HostCC) Snapshot(e *snapshot.Encoder) {
 	}
 }
 
-// Restore reverses Snapshot. The watchdog presence must match the snapshot
-// (same testbed shape).
-func (h *HostCC) Restore(d *snapshot.Decoder) error {
-	if err := h.isEWMA.Restore(d); err != nil {
-		return err
-	}
-	if err := h.bsEWMA.Restore(d); err != nil {
-		return err
-	}
-	h.lastROCC = d.U64()
-	h.lastROCCAt = sim.Time(d.I64())
-	h.lastRINS = d.U64()
-	h.lastRINSAt = sim.Time(d.I64())
-	h.seeded = d.Bool()
-	h.running = d.Bool()
-	if err := h.ReadLatency.Restore(d); err != nil {
-		return err
-	}
-	if err := h.MarkedPackets.Restore(d); err != nil {
-		return err
-	}
-	if err := h.Samples.Restore(d); err != nil {
-		return err
-	}
-	if err := h.FailedSamples.Restore(d); err != nil {
-		return err
-	}
-	if err := h.LevelRaises.Restore(d); err != nil {
-		return err
-	}
-	if err := h.LevelDrops.Restore(d); err != nil {
-		return err
-	}
-	hadWD := d.Bool()
-	if hadWD != (h.wd != nil) {
-		return fmt.Errorf("core: snapshot watchdog presence %v does not match module %v", hadWD, h.wd != nil)
-	}
-	if h.wd != nil {
-		return h.wd.restore(d)
-	}
-	return d.Err()
-}
-
 func (w *Watchdog) snapshot(e *snapshot.Encoder) {
 	e.Int(int(w.state))
 	e.Str(w.reason)
@@ -87,24 +39,4 @@ func (w *Watchdog) snapshot(e *snapshot.Encoder) {
 	w.Trips.Snapshot(e)
 	w.Rearms.Snapshot(e)
 	w.Retries.Snapshot(e)
-}
-
-func (w *Watchdog) restore(d *snapshot.Decoder) error {
-	w.state = WatchdogState(d.Int())
-	w.reason = d.Str()
-	w.lastGoodAt = sim.Time(d.I64())
-	w.consecFails = d.Int()
-	w.consecFrozen = d.Int()
-	w.consecGood = d.Int()
-	w.desired = d.Int()
-	w.haveDesired = d.Bool()
-	w.backoff = sim.Time(d.I64())
-	w.lastRetryAt = sim.Time(d.I64())
-	if err := w.Trips.Restore(d); err != nil {
-		return err
-	}
-	if err := w.Rearms.Restore(d); err != nil {
-		return err
-	}
-	return w.Retries.Restore(d)
 }

@@ -288,15 +288,6 @@ func (p *RxPool) BusyTime() sim.Time { return p.busyTime }
 // Cores returns the pool size.
 func (p *RxPool) Cores() int { return p.cfg.Cores }
 
-// DebugState reports per-core queue lengths and busy flags (diagnostics).
-func (p *RxPool) DebugState() ([]int, []bool) {
-	qs := make([]int, len(p.queues))
-	for i := range p.queues {
-		qs[i] = p.queues[i].Len()
-	}
-	return qs, append([]bool(nil), p.busy...)
-}
-
 // Validate reports the first invalid parameter.
 func (c RxConfig) Validate() error {
 	if c.Cores <= 0 {

@@ -107,9 +107,8 @@ type outcome struct {
 	p999       float64
 	invChecks  int64
 
-	midImg     []byte // mid-run state image (nil if the run never got there)
-	midErr     string // first mid-run snapshot-oracle error
-	restoreErr string // post-run restore-accept error
+	midImg []byte // mid-run state image (nil if the run never got there)
+	midErr string // first mid-run snapshot-oracle error
 
 	rec snapshot.Recording // digest frames and final state
 }
@@ -303,36 +302,6 @@ func runOnce(sc Scenario, opts testbed.Config, plan faults.Plan) (o *outcome) {
 	tb.Inv.Stop()
 	sen.Stop()
 	o.rec = rec.Stop()
-
-	// Restore-accept: every component must take back its own final state
-	// image (full byte consumption, no error). The engine is exempt — it
-	// refuses restores while events are pending, by design; pending
-	// closures have no serializable form and resumption is replay-based.
-	// Runs after the final digest capture, when mutation is harmless.
-	img := reg.EncodeAll()
-	decoded, blobs, err := snapshot.DecodeState(img)
-	if err != nil {
-		o.restoreErr = fmt.Sprintf("decode final image: %v", err)
-		return o
-	}
-	for _, dg := range decoded {
-		if dg.Component == "engine" {
-			continue
-		}
-		dec := snapshot.NewDecoder(blobs[dg.Component])
-		if err := reg.Component(dg.Component).Restore(dec); err != nil {
-			o.restoreErr = fmt.Sprintf("component %q rejects its own snapshot: %v", dg.Component, err)
-			return o
-		}
-		if err := dec.Err(); err != nil {
-			o.restoreErr = fmt.Sprintf("component %q under-decodes its snapshot: %v", dg.Component, err)
-			return o
-		}
-		if n := dec.Remaining(); n != 0 {
-			o.restoreErr = fmt.Sprintf("component %q left %d snapshot bytes unconsumed", dg.Component, n)
-			return o
-		}
-	}
 	return o
 }
 
@@ -387,14 +356,10 @@ func Run(sc Scenario) (Verdict, error) {
 		}
 	}
 
-	// Snapshot oracles only judge runs that got far enough to produce a
+	// The snapshot oracle only judges runs that got far enough to produce a
 	// coherent image; a panicked run's partial state proves nothing.
-	if o1.panicMsg == "" {
-		if o1.midErr != "" {
-			fail(OracleSnapshot, o1.midErr)
-		} else if o1.restoreErr != "" {
-			fail(OracleSnapshot, o1.restoreErr)
-		}
+	if o1.panicMsg == "" && o1.midErr != "" {
+		fail(OracleSnapshot, o1.midErr)
 	}
 
 	if o1.panicMsg == "" && sc.Oracles.GoodputFloorPct > 0 && !o1.recovered {

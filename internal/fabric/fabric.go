@@ -259,7 +259,6 @@ type outPort struct {
 	queue  ring.Queue[qent]
 	qBytes int
 	busy   bool
-	name   string
 
 	// key identifies the port in snapshots: the host ID for host-facing
 	// ports, trunkKeyBase+n for the n-th trunk port.
@@ -359,7 +358,7 @@ func (s *Switch) AttachTrunk(link *Link) PortID {
 }
 
 func (s *Switch) attach(link *Link, key uint64, name string) PortID {
-	o := &outPort{sw: s, link: link, key: key, name: name}
+	o := &outPort{sw: s, link: link, key: key}
 	o.doneH = s.e.Handler(o.serDone)
 	baseRTT := s.cfg.INTBaseRTT
 	if baseRTT == 0 {

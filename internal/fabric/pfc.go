@@ -212,10 +212,6 @@ func (s *Switch) PortPausedFor(p PortID) sim.Time {
 	return t
 }
 
-// PortName returns the attach-time display name of a port ("portN",
-// "trunkN") for diagnostics.
-func (s *Switch) PortName(p PortID) string { return s.ports[p].name }
-
 // IngressOccupancy sums buffered bytes across all PFC ingresses.
 func (s *Switch) IngressOccupancy() int {
 	var n int

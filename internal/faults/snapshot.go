@@ -1,9 +1,6 @@
 package faults
 
-import (
-	"repro/internal/sim"
-	"repro/internal/snapshot"
-)
+import "repro/internal/snapshot"
 
 // Snapshot encodes the injector's window refcounts, per-kind parameters,
 // transition log and injection counters (the plan itself is configuration).
@@ -27,29 +24,4 @@ func (in *Injector) Snapshot(e *snapshot.Encoder) {
 		e.Int(int(ev.Kind))
 		e.Bool(ev.Active)
 	}
-}
-
-// Restore reverses Snapshot.
-func (in *Injector) Restore(d *snapshot.Decoder) error {
-	in.armed = d.Bool()
-	kinds := int(legacyKinds)
-	if in.ext {
-		kinds = int(numKinds)
-	}
-	for k := 0; k < kinds; k++ {
-		in.active[k] = d.Int()
-		in.prob[k] = d.F64()
-		in.mag[k] = d.F64()
-		in.Injected[k] = d.I64()
-	}
-	n := int(d.U32())
-	in.Events = in.Events[:0]
-	for i := 0; i < n && d.Err() == nil; i++ {
-		in.Events = append(in.Events, Event{
-			At:     sim.Time(d.I64()),
-			Kind:   Kind(d.Int()),
-			Active: d.Bool(),
-		})
-	}
-	return d.Err()
 }

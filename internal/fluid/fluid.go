@@ -136,7 +136,6 @@ type ResourceID int32
 const maxHops = 4
 
 type resource struct {
-	name    string
 	cap     float64 // bytes/sec
 	buf     float64 // buffer bytes (overflow above it is loss)
 	ecn     float64 // mark threshold bytes
@@ -217,10 +216,9 @@ func (n *Network) AddResource(name string, capacity sim.Rate, bufBytes, ecnBytes
 			name, capacity, bufBytes, ecnBytes))
 	}
 	n.res = append(n.res, resource{
-		name: name,
-		cap:  float64(capacity),
-		buf:  float64(bufBytes),
-		ecn:  float64(ecnBytes),
+		cap: float64(capacity),
+		buf: float64(bufBytes),
+		ecn: float64(ecnBytes),
 	})
 	return ResourceID(len(n.res) - 1)
 }
@@ -443,9 +441,6 @@ func (n *Network) Tick(_ sim.Time) {
 	}
 }
 
-// Resources returns the resource count.
-func (n *Network) Resources() int { return len(n.res) }
-
 // Flows returns the flow count.
 func (n *Network) Flows() int { return len(n.flows) }
 
@@ -482,6 +477,3 @@ func (n *Network) DeliveredBytes() float64 { return n.delivered }
 
 // QueueBytes returns resource r's current fluid queue depth.
 func (n *Network) QueueBytes(r ResourceID) float64 { return n.res[r].q }
-
-// ResourceName returns resource r's name.
-func (n *Network) ResourceName(r ResourceID) string { return n.res[r].name }

@@ -1,13 +1,10 @@
 package iio
 
-import (
-	"repro/internal/cache"
-	"repro/internal/snapshot"
-)
+import "repro/internal/snapshot"
 
 // Snapshot encodes the IIO's buffer and per-packet DMA state. The pending
-// TLP queue (IOMMU gate) is encoded by length and line counts — digest
-// coverage — and replay-reconstructed on resume.
+// TLP queue (IOMMU gate) is encoded by length and line counts, enough for
+// digests to distinguish its contents.
 func (io *IIO) Snapshot(e *snapshot.Encoder) {
 	e.Int(io.occLines)
 	io.occ.Snapshot(e)
@@ -23,24 +20,4 @@ func (io *IIO) Snapshot(e *snapshot.Encoder) {
 	e.Bool(io.curHasEntry)
 	e.Bool(io.evictGate)
 	e.Int(io.evictBytes)
-}
-
-// Restore reverses Snapshot for the scalar state.
-func (io *IIO) Restore(d *snapshot.Decoder) error {
-	io.occLines = d.Int()
-	if err := io.occ.Restore(d); err != nil {
-		return err
-	}
-	io.rins = d.U64()
-	io.gateBusy = d.Bool()
-	np := int(d.U32())
-	for i := 0; i < np && d.Err() == nil; i++ {
-		_ = d.Int() // pending TLP lines: digest-only
-	}
-	_ = d.Bool() // in-progress packet presence: digest-only
-	io.curEntry = cache.EntryID(d.U64())
-	io.curHasEntry = d.Bool()
-	io.evictGate = d.Bool()
-	io.evictBytes = d.Int()
-	return d.Err()
 }

@@ -47,7 +47,6 @@ const TickNanos = 2
 
 // Latency model constants for register access (§4.1).
 const (
-	TSCReadLatency  = 2 * sim.Nanosecond
 	readLatencyBase = 450 * sim.Nanosecond
 	readLatencyMean = 130 * sim.Nanosecond // exponential tail above base
 	readLatencyMax  = 1200 * sim.Nanosecond

@@ -92,22 +92,6 @@ func (n *NIC) SetTxPaused(on bool) {
 	n.txPump()
 }
 
-// TxPaused reports whether the transmit path is pause-gated.
-func (n *NIC) TxPaused() bool { return n.txPaused }
-
-// TxPausedFor returns cumulative transmit pause time, including the
-// current pause if one is in progress.
-func (n *NIC) TxPausedFor() sim.Time {
-	t := n.txPausedTotal
-	if n.txPaused {
-		t += n.e.Now() - n.txPausedAt
-	}
-	return t
-}
-
-// RxXoff reports whether the rx buffer currently holds the fabric paused.
-func (n *NIC) RxXoff() bool { return n.rxXoff }
-
 // setRxXoff transitions the rx-side pause state and notifies upstream.
 func (n *NIC) setRxXoff(on bool) {
 	n.rxXoff = on

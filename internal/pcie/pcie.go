@@ -221,9 +221,6 @@ func (l *Link) TrySend(t *TLP) bool {
 	return true
 }
 
-// SerializerBusy reports whether the link is currently transmitting.
-func (l *Link) SerializerBusy() bool { return l.busyUntil > l.e.Now() }
-
 // ReleaseCredits returns lines to the pool (called by the IIO when a write
 // has been issued to memory) and wakes any waiters. While a credit stall
 // is engaged (fault injection) the lines are sequestered instead; they

@@ -1,13 +1,10 @@
 package pcie
 
-import (
-	"repro/internal/sim"
-	"repro/internal/snapshot"
-)
+import "repro/internal/snapshot"
 
 // Snapshot encodes the link's credit and serializer state. The waiter list
-// holds closures; its length is encoded (it is part of the observable state
-// a digest must cover) but cannot be reconstituted by Restore.
+// holds closures, which have no serializable form; its length is encoded
+// because it is part of the observable state a digest must cover.
 func (l *Link) Snapshot(e *snapshot.Encoder) {
 	e.Int(l.credits)
 	e.I64(int64(l.busyUntil))
@@ -17,21 +14,4 @@ func (l *Link) Snapshot(e *snapshot.Encoder) {
 	l.Stalls.Snapshot(e)
 	l.Sent.Snapshot(e)
 	l.Releases.Snapshot(e)
-}
-
-// Restore reverses Snapshot for the scalar state; waiter callbacks are
-// replay-reconstructed (see package snapshot).
-func (l *Link) Restore(d *snapshot.Decoder) error {
-	l.credits = d.Int()
-	l.busyUntil = sim.Time(d.I64())
-	_ = d.Int() // waiter count: digest-only
-	l.stalled = d.Bool()
-	l.stalledCredits = d.Int()
-	if err := l.Stalls.Restore(d); err != nil {
-		return err
-	}
-	if err := l.Sent.Restore(d); err != nil {
-		return err
-	}
-	return l.Releases.Restore(d)
 }

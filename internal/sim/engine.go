@@ -149,11 +149,11 @@ type Engine struct {
 }
 
 // countingSource wraps the standard seeded source and counts draws, making
-// RNG state snapshotable: the sequence is unchanged (every call delegates),
-// and a snapshot records only (seed, draws) — Restore fast-forwards a fresh
-// source by the same number of draws. Int63 and Uint64 both advance the
-// underlying generator by exactly one step, so the fast-forward does not
-// need to know which mix of calls consumed the draws.
+// RNG state digestible: the sequence is unchanged (every call delegates),
+// and a snapshot records only (seed, draws), which determine the
+// generator's state. Int63 and Uint64 both advance the underlying
+// generator by exactly one step, so the count does not depend on which
+// mix of calls consumed the draws.
 type countingSource struct {
 	src   rand.Source64
 	draws uint64

@@ -9,60 +9,55 @@ import (
 )
 
 func TestEngineSnapshotRoundTrip(t *testing.T) {
-	e := NewEngine(42)
-	for i := 0; i < 10; i++ {
-		e.After(Time(i*10), func() { e.Rand().Float64() })
+	advance := func() *Engine {
+		e := NewEngine(42)
+		for i := 0; i < 10; i++ {
+			e.After(Time(i*10), func() { e.Rand().Float64() })
+		}
+		e.Run()
+		return e
 	}
-	e.Run()
-	drawsBefore := e.RNGDraws()
-	nextBefore := []float64{e.Rand().Float64(), e.Rand().Float64()}
-
-	// Snapshot a second engine advanced to the same point and restore it
-	// into a third: the restored engine must produce the same draws.
-	e2 := NewEngine(42)
-	for i := 0; i < 10; i++ {
-		e2.After(Time(i*10), func() { e2.Rand().Float64() })
-	}
-	e2.Run()
-	var enc snapshot.Encoder
-	e2.Snapshot(&enc)
-
-	e3 := NewEngine(0)
-	if err := e3.Restore(snapshot.NewDecoder(enc.Bytes())); err != nil {
-		t.Fatalf("Restore: %v", err)
-	}
-	if e3.Now() != e2.Now() || e3.Processed != e2.Processed || e3.Seed() != 42 {
-		t.Fatalf("restored position = (%v, %d, seed %d)", e3.Now(), e3.Processed, e3.Seed())
-	}
-	if e3.RNGDraws() != drawsBefore {
-		t.Fatalf("restored draws = %d, want %d", e3.RNGDraws(), drawsBefore)
-	}
-	got := []float64{e3.Rand().Float64(), e3.Rand().Float64()}
-	if got[0] != nextBefore[0] || got[1] != nextBefore[1] {
-		t.Fatalf("restored RNG stream %v, want %v", got, nextBefore)
-	}
-}
-
-func TestEngineRestoreRejectsPendingEvents(t *testing.T) {
-	e := NewEngine(1)
-	e.After(100, func() {})
-	var enc snapshot.Encoder
-	e.Snapshot(&enc) // snapshot with a queued event
-
-	e2 := NewEngine(1)
-	if err := e2.Restore(snapshot.NewDecoder(enc.Bytes())); err == nil {
-		t.Fatal("expected error restoring a snapshot with pending events")
+	encode := func(e *Engine) []byte {
+		var enc snapshot.Encoder
+		e.Snapshot(&enc)
+		return enc.Bytes()
 	}
 
-	// And the receiving engine must itself be quiescent.
-	e3 := NewEngine(1)
-	e3.Run()
-	var enc2 snapshot.Encoder
-	e3.Snapshot(&enc2)
-	e4 := NewEngine(1)
-	e4.After(5, func() {})
-	if err := e4.Restore(snapshot.NewDecoder(enc2.Bytes())); err == nil {
-		t.Fatal("expected error restoring into an engine with pending events")
+	// Two engines advanced identically encode identically.
+	e, e2 := advance(), advance()
+	img := encode(e)
+	if string(encode(e2)) != string(img) {
+		t.Fatal("identically advanced engines encode differently")
+	}
+	if string(encode(e)) != string(img) {
+		t.Fatal("re-encoding the same engine is not byte-identical")
+	}
+
+	// The image carries the position and the RNG cursor: seed, then the
+	// draw count as the trailing u64.
+	dec := snapshot.NewDecoder(img)
+	if now := Time(dec.I64()); now != e.Now() {
+		t.Errorf("encoded now = %v, want %v", now, e.Now())
+	}
+	_ = dec.U64() // seq
+	if processed := dec.U64(); processed != e.Processed {
+		t.Errorf("encoded processed = %d, want %d", processed, e.Processed)
+	}
+	if pending := dec.I64(); pending != 0 {
+		t.Errorf("encoded pending = %d, want 0", pending)
+	}
+	tail := snapshot.NewDecoder(img[len(img)-16:])
+	if seed := tail.I64(); seed != 42 {
+		t.Errorf("encoded seed = %d, want 42", seed)
+	}
+	if draws := tail.U64(); draws != e.RNGDraws() || draws == 0 {
+		t.Errorf("encoded draws = %d, want %d", draws, e.RNGDraws())
+	}
+
+	// One more RNG draw moves the digest, though nothing else changed.
+	e2.Rand().Float64()
+	if string(encode(e2)) == string(img) {
+		t.Fatal("an RNG draw did not change the engine encoding")
 	}
 }
 
@@ -234,23 +229,38 @@ func TestSentinelEscapePolicy(t *testing.T) {
 }
 
 func TestTimerSnapshotState(t *testing.T) {
+	encode := func(tm *Timer) []byte {
+		var enc snapshot.Encoder
+		tm.SnapshotState(&enc)
+		return enc.Bytes()
+	}
 	e := NewEngine(1)
 	tm := NewTimer(e, func() {})
 	tm.Reset(500)
-	var enc snapshot.Encoder
-	tm.SnapshotState(&enc)
+	img := encode(tm)
 
-	tm2 := NewTimer(e, func() { t.Fatal("restored timer must not fire") })
-	dec := snapshot.NewDecoder(enc.Bytes())
-	tm2.RestoreState(dec)
-	if dec.Err() != nil {
-		t.Fatalf("decode: %v", dec.Err())
+	// Layout: armed flag (one byte), deadline, generation.
+	if img[0] != 1 {
+		t.Fatalf("armed byte = %d, want 1", img[0])
 	}
-	if !tm2.Pending() || tm2.Deadline() != 500 {
-		t.Fatalf("restored timer pending=%v deadline=%v", tm2.Pending(), tm2.Deadline())
+	if at := snapshot.NewDecoder(img[1:]).I64(); at != 500 {
+		t.Fatalf("encoded deadline = %d, want 500", at)
 	}
+
+	// A timer driven identically encodes identically.
+	tm2 := NewTimer(e, func() {})
+	tm2.Reset(500)
+	if string(encode(tm2)) != string(img) {
+		t.Fatal("identically armed timers encode differently")
+	}
+
+	// Stopping the timer changes its encoding.
 	tm.Stop()
-	e.Run() // tm2 has no scheduled event; nothing fires
+	if string(encode(tm)) == string(img) {
+		t.Fatal("stopping the timer did not change its encoding")
+	}
+	tm2.Stop()
+	e.Run()
 }
 
 // NewEngineRandReference returns the first n Int63 draws of the unwrapped

@@ -31,7 +31,6 @@ type ShardGroup struct {
 	hooks  []*GroupHook
 
 	now       Time
-	minLA     Time
 	stopped   bool
 	workers   []*shardWorker
 	scratch   []inflightMsg
@@ -53,7 +52,7 @@ func NewShardGroup(seed int64, n int) *ShardGroup {
 	if n < 1 {
 		panic("sim: ShardGroup needs at least one shard")
 	}
-	g := &ShardGroup{minLA: DefaultMinLookahead}
+	g := &ShardGroup{}
 	for i := 0; i < n; i++ {
 		s := seed
 		if i > 0 {
@@ -75,15 +74,6 @@ func (g *ShardGroup) Shards() int { return len(g.shards) }
 // shard is quiesced at the same barrier time).
 func (g *ShardGroup) Shard(i int) *Engine { return g.shards[i] }
 
-// SetMinLookahead overrides the lower clamp of the synchronization
-// window (see DefaultMinLookahead). Call before the first Run.
-func (g *ShardGroup) SetMinLookahead(d Time) {
-	if d <= 0 {
-		panic("sim: non-positive minimum lookahead")
-	}
-	g.minLA = d
-}
-
 // Lookahead returns the group's conservative window: the minimum
 // boundary delay, clamped from below by the minimum lookahead.
 func (g *ShardGroup) Lookahead() Time {
@@ -93,8 +83,8 @@ func (g *ShardGroup) Lookahead() Time {
 			la = b.delay
 		}
 	}
-	if la < g.minLA {
-		la = g.minLA
+	if la < DefaultMinLookahead {
+		la = DefaultMinLookahead
 	}
 	return la
 }
@@ -108,15 +98,6 @@ func (g *ShardGroup) Pending() int {
 	n := 0
 	for _, e := range g.shards {
 		n += e.Pending()
-	}
-	return n
-}
-
-// ProcessedEvents sums executed events across shards.
-func (g *ShardGroup) ProcessedEvents() uint64 {
-	var n uint64
-	for _, e := range g.shards {
-		n += e.Processed
 	}
 	return n
 }

@@ -71,11 +71,6 @@ func (g *WaitGraph) AddEdge(from, to, label string) {
 	g.edges[fi] = append(g.edges[fi], waitEdge{to: ti, label: label})
 }
 
-// Nodes returns the nodes in insertion order.
-func (g *WaitGraph) Nodes() []WaitNode {
-	return append([]WaitNode(nil), g.nodes...)
-}
-
 func (g *WaitGraph) wedged(i int) bool {
 	return g.nodes[i].Demand && !g.nodes[i].Moving
 }

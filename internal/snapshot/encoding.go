@@ -2,7 +2,7 @@
 // simulation component state, per-component digests for divergence
 // detection, and a checkpoint file format for replaying chaos runs.
 //
-// Design constraints (see DESIGN.md "Checkpoint/replay runtime"):
+// Design constraints (see DESIGN.md "Deterministic snapshots & replay"):
 //
 //   - Determinism: the same component state always encodes to the same
 //     bytes. All fields are fixed-width little-endian; map-backed state is
@@ -10,11 +10,14 @@
 //   - Leaf package: only the standard library, so every model package
 //     (sim, stats, nic, pcie, ...) can implement Snapshotter without an
 //     import cycle.
-//   - Restore is for offline inspection, round-trip verification and
-//     divergence tooling. Live resumption is replay-based (the event queue
-//     holds closures, which have no serializable form): a checkpoint
-//     records enough metadata to re-execute the run deterministically and
-//     verify per-frame digests along the way.
+//   - Write-only: components encode, nothing decodes state back into a
+//     component. Encodings feed per-component digests, HCSSTAT1 state
+//     images and HCCCKPT1 checkpoints. Resumption is replay-based (the
+//     event queue holds closures, which have no serializable form): a
+//     checkpoint records enough metadata to re-execute the run
+//     deterministically and verify per-frame digests along the way. The
+//     Decoder reads only the framing — image headers, component blobs,
+//     checkpoint metadata and digest timelines.
 package snapshot
 
 import (
@@ -32,9 +35,6 @@ type Encoder struct {
 
 // Bytes returns the encoded image.
 func (e *Encoder) Bytes() []byte { return e.buf }
-
-// Len returns the encoded size so far.
-func (e *Encoder) Len() int { return len(e.buf) }
 
 // U32 appends a fixed-width uint32.
 func (e *Encoder) U32(v uint32) {
@@ -78,8 +78,8 @@ func (e *Encoder) Raw(b []byte) {
 
 // Decoder reads an Encoder image back. Errors are sticky: after the first
 // short read every accessor returns the zero value, and Err reports the
-// failure, so component Restore methods can decode unconditionally and
-// check once at the end.
+// failure, so callers can decode unconditionally and check once at the
+// end.
 type Decoder struct {
 	buf []byte
 	off int
@@ -128,18 +128,6 @@ func (d *Decoder) U64() uint64 {
 
 // I64 reads an int64.
 func (d *Decoder) I64() int64 { return int64(d.U64()) }
-
-// Int reads an int encoded as int64.
-func (d *Decoder) Int() int { return int(d.I64()) }
-
-// F64 reads a float64.
-func (d *Decoder) F64() float64 { return math.Float64frombits(d.U64()) }
-
-// Bool reads a bool.
-func (d *Decoder) Bool() bool {
-	b := d.take(1)
-	return b != nil && b[0] != 0
-}
 
 // Str reads a length-prefixed string.
 func (d *Decoder) Str() string {

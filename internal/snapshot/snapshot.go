@@ -11,15 +11,14 @@ import (
 //   - Snapshot must be deterministic: identical component state encodes to
 //     identical bytes (map iteration must be sorted by the implementation).
 //   - Snapshot must not mutate the component or the simulation.
-//   - Restore reverses Snapshot for the component's scalar state. State
-//     that lives in the engine's event queue (pending callbacks) has no
-//     serializable form; Restore reconstitutes fields for inspection and
-//     round-trip verification, and implementations must reject snapshots
-//     they cannot fully honor. Live resumption is replay-based — see the
-//     package comment.
+//   - Snapshot must cover every field that distinguishes one state from
+//     another, including state with no serializable form (pending
+//     callbacks, queued packets), which is encoded by count or by a
+//     stand-in such as wire length. The encoding feeds digests, state
+//     images and checkpoints; nothing decodes it back into a component.
+//     Runs resume by replay — see the package comment.
 type Snapshotter interface {
 	Snapshot(*Encoder)
-	Restore(*Decoder) error
 }
 
 // Digest is one component's state hash at an instant.
@@ -53,14 +52,6 @@ func (r *Registry) Register(name string, s Snapshotter) {
 	r.names = append(r.names, name)
 	r.byName[name] = s
 }
-
-// Names returns the registered component names in registration order.
-func (r *Registry) Names() []string {
-	return append([]string(nil), r.names...)
-}
-
-// Component returns a registered component, or nil.
-func (r *Registry) Component(name string) Snapshotter { return r.byName[name] }
 
 // stateMagic identifies a Registry.EncodeAll image.
 const stateMagic = "HCSSTAT1"
@@ -99,35 +90,6 @@ func DecodeState(img []byte) ([]Digest, map[string][]byte, error) {
 		blobs[name] = blob
 	}
 	return order, blobs, d.Err()
-}
-
-// RestoreAll decodes an EncodeAll image back into the registered
-// components. Every component in the image must be registered under the
-// same name and accept its blob.
-func (r *Registry) RestoreAll(img []byte) error {
-	order, blobs, err := DecodeState(img)
-	if err != nil {
-		return err
-	}
-	if len(order) != len(r.names) {
-		return fmt.Errorf("snapshot: image has %d components, registry has %d", len(order), len(r.names))
-	}
-	for i, dg := range order {
-		if dg.Component != r.names[i] {
-			return fmt.Errorf("snapshot: component %d is %q in image, %q in registry", i, dg.Component, r.names[i])
-		}
-		dec := NewDecoder(blobs[dg.Component])
-		if err := r.byName[dg.Component].Restore(dec); err != nil {
-			return fmt.Errorf("snapshot: restore %q: %w", dg.Component, err)
-		}
-		if err := dec.Err(); err != nil {
-			return fmt.Errorf("snapshot: restore %q: %w", dg.Component, err)
-		}
-		if dec.Remaining() != 0 {
-			return fmt.Errorf("snapshot: restore %q left %d undecoded bytes", dg.Component, dec.Remaining())
-		}
-	}
-	return nil
 }
 
 // HashBytes is the digest function: FNV-1a 64.

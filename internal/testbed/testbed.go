@@ -171,6 +171,9 @@ func (o Config) Validate() error {
 	if o.MTU < 0 {
 		return fmt.Errorf("testbed: negative MTU %d", o.MTU)
 	}
+	if o.MTU != 0 && o.MTU <= packet.HeaderLen {
+		return fmt.Errorf("testbed: MTU %d does not exceed the %d-byte headers", o.MTU, packet.HeaderLen)
+	}
 	if o.Flows < 0 {
 		return fmt.Errorf("testbed: negative Flows %d", o.Flows)
 	}
@@ -231,6 +234,18 @@ func (o Config) Validate() error {
 	}
 	if o.FixedLevel < -1 {
 		return fmt.Errorf("testbed: FixedLevel %d below -1 (use -1 for dynamic)", o.FixedLevel)
+	}
+	levels := cpu.DefaultMBAConfig().Levels
+	if o.mba != nil {
+		levels = o.mba.Levels
+	}
+	if o.FixedLevel >= len(levels) {
+		return fmt.Errorf("testbed: FixedLevel %d outside the receiver MBA's %d levels", o.FixedLevel, len(levels))
+	}
+	if o.Faults != nil {
+		if err := o.Faults.Validate(); err != nil {
+			return err
+		}
 	}
 	if o.Watchdog != nil {
 		if err := o.Watchdog.Validate(); err != nil {
@@ -879,15 +894,6 @@ func (tb *Testbed) Processed() uint64 {
 	var n uint64
 	for _, e := range tb.engines {
 		n += e.Processed
-	}
-	return n
-}
-
-// PendingEvents returns queued events, summed across shards.
-func (tb *Testbed) PendingEvents() int {
-	n := 0
-	for _, e := range tb.engines {
-		n += e.Pending()
 	}
 	return n
 }

@@ -62,17 +62,6 @@ func (ep *Endpoint) DialFrom(srcPort uint16, dst packet.HostID, dstPort uint16) 
 	return c
 }
 
-// DialWith creates a connection with a per-connection config override.
-func (ep *Endpoint) DialWith(srcPort uint16, dst packet.HostID, dstPort uint16, cfg Config) *Conn {
-	flow := packet.FlowID{Src: ep.id, Dst: dst, SrcPort: srcPort, DstPort: dstPort}
-	if _, dup := ep.cons[flow]; dup {
-		panic(fmt.Sprintf("transport: duplicate connection %v", flow))
-	}
-	c := newConn(ep.e, ep.net, flow, cfg)
-	ep.cons[flow] = c
-	return c
-}
-
 // Listen accepts inbound flows on port; accept is invoked once per new
 // flow with the receiver-side connection.
 func (ep *Endpoint) Listen(port uint16, accept func(*Conn)) {
