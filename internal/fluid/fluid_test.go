@@ -29,7 +29,7 @@ func run(net *Network, n int) {
 // tier's steady state — and share it approximately fairly.
 func TestFluidConvergesToCapacity(t *testing.T) {
 	net := New(testConfig())
-	r := net.AddResource("bottleneck", sim.Gbps(10), 1<<20, 80*1024)
+	r := net.AddResource(sim.Gbps(10), 1<<20, 80*1024)
 	const flows = 4
 	for i := 0; i < flows; i++ {
 		net.AddFlow(r)
@@ -75,7 +75,7 @@ func TestFluidRenoOverflowsThenBacksOff(t *testing.T) {
 	cfg := testConfig()
 	cfg.Scheme = "reno"
 	net := New(cfg)
-	r := net.AddResource("bottleneck", sim.Gbps(10), 256*1024, 80*1024)
+	r := net.AddResource(sim.Gbps(10), 256*1024, 80*1024)
 	net.AddFlow(r)
 	net.AddFlow(r)
 	run(net, 50_000)
@@ -94,8 +94,8 @@ func TestFluidRenoOverflowsThenBacksOff(t *testing.T) {
 func TestFluidDeterminism(t *testing.T) {
 	build := func() *Network {
 		net := New(testConfig())
-		a := net.AddResource("a", sim.Gbps(10), 1<<20, 80*1024)
-		b := net.AddResource("b", sim.Gbps(25), 1<<20, 80*1024)
+		a := net.AddResource(sim.Gbps(10), 1<<20, 80*1024)
+		b := net.AddResource(sim.Gbps(25), 1<<20, 80*1024)
 		for i := 0; i < 64; i++ {
 			if i%2 == 0 {
 				net.AddFlow(a, b)
@@ -122,7 +122,7 @@ func TestFluidDeterminism(t *testing.T) {
 func TestFluidSnapshotRoundTrip(t *testing.T) {
 	build := func(flows int) *Network {
 		net := New(testConfig())
-		r := net.AddResource("r", sim.Gbps(10), 1<<20, 80*1024)
+		r := net.AddResource(sim.Gbps(10), 1<<20, 80*1024)
 		for i := 0; i < flows; i++ {
 			net.AddFlow(r)
 		}
@@ -190,7 +190,7 @@ func (s *fakeSeam) SetBackground(rate sim.Rate, q int) {
 func TestFluidSeamConservation(t *testing.T) {
 	cfg := testConfig()
 	net := New(cfg)
-	r := net.AddResource("shared", sim.Gbps(10), 1<<20, 80*1024)
+	r := net.AddResource(sim.Gbps(10), 1<<20, 80*1024)
 	seam := &fakeSeam{}
 	net.BindSeam(r, seam)
 	f := net.AddFlow(r)
@@ -228,15 +228,15 @@ func TestFluidSeamConservation(t *testing.T) {
 	// staying below the promote (hot) threshold at half the buffer.
 	seam.pktQ = 100 * 1024
 	net.Tick(0)
-	if !net.res[r].marked {
+	if net.view[r].bits&vMarked == 0 {
 		t.Fatal("packet queue above the threshold did not mark the resource")
 	}
-	if net.res[r].hot {
+	if net.view[r].bits&vHot != 0 {
 		t.Fatal("ordinary marking depth must not count as hot (promote trigger)")
 	}
 	seam.pktQ = 600 * 1024 // past half the 1 MB buffer
 	net.Tick(0)
-	if !net.res[r].hot {
+	if net.view[r].bits&vHot == 0 {
 		t.Fatal("deep packet queue did not make the resource hot")
 	}
 }
@@ -250,7 +250,7 @@ func TestFluidPromoteDemoteHysteresis(t *testing.T) {
 	cfg.PromoteTicks = 3
 	cfg.DemoteTicks = 5
 	net := New(cfg)
-	r := net.AddResource("r", sim.Gbps(10), 1<<20, 80*1024)
+	r := net.AddResource(sim.Gbps(10), 1<<20, 80*1024)
 	f := net.AddFlow(r)
 	net.AddFlow(r) // stays fluid throughout
 	net.SetPromotable(f, true)
@@ -316,19 +316,36 @@ func TestFluidPromoteDemoteHysteresis(t *testing.T) {
 	}
 }
 
-// TestFluidValidateRejects: config validation catches the usual traps.
+// TestFluidValidateRejects: config validation catches the usual traps,
+// including values the per-flow uint16 tick counters cannot hold.
 func TestFluidValidateRejects(t *testing.T) {
-	bad := testConfig()
-	bad.Scheme = "bbr" // no fluid twin
-	if err := bad.Validate(); err == nil {
-		t.Fatal("Validate accepted a scheme with no fluid twin")
+	with := func(f func(*Config)) Config {
+		c := testConfig()
+		f(&c)
+		return c
 	}
-	bad = testConfig()
-	bad.DemoteFrac = 2
-	if err := bad.Validate(); err == nil {
-		t.Fatal("Validate accepted DemoteFrac > 1")
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"scheme with no fluid twin", with(func(c *Config) { c.Scheme = "bbr" })},
+		{"DemoteFrac above 1", with(func(c *Config) { c.DemoteFrac = 2 })},
+		{"RTT window of 65536 ticks", Config{Tick: sim.Nanosecond, RTT: 65536 * sim.Nanosecond}},
+		{"RTT window rounding up past 65535 ticks", Config{Tick: 2 * sim.Nanosecond, RTT: 131071 * sim.Nanosecond}},
+		{"DemoteTicks above 65535", with(func(c *Config) { c.DemoteTicks = 70000 })},
+		{"PromoteTicks above 65535", with(func(c *Config) { c.PromoteTicks = 1 << 16 })},
+	} {
+		if err := tc.cfg.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted %+v", tc.name, tc.cfg)
+		}
 	}
-	if err := (Config{}).Validate(); err != nil {
-		t.Fatalf("zero config (all defaults) rejected: %v", err)
+	for _, ok := range []Config{
+		{}, // all defaults
+		{Tick: sim.Nanosecond, RTT: 65535 * sim.Nanosecond},
+		with(func(c *Config) { c.PromoteTicks, c.DemoteTicks = 65535, 65535 }),
+	} {
+		if err := ok.Validate(); err != nil {
+			t.Errorf("Validate rejected %+v: %v", ok, err)
+		}
 	}
 }

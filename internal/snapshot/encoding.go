@@ -31,19 +31,50 @@ import (
 // The zero value is ready to use.
 type Encoder struct {
 	buf []byte
+
+	// hashing switches the encoder to digest mode (Registry.Digests):
+	// once buf holds flushBytes it is folded into sum, the FNV-1a state
+	// of every byte encoded so far, and emptied. An encoding of any
+	// size then digests through one fixed buffer, and since FNV-1a
+	// consumes bytes strictly in order, where the flushes fall cannot
+	// change the hash.
+	hashing bool
+	sum     uint64
 }
+
+// flushBytes is the digest-mode buffer size: large enough that a flush
+// is rare next to the appends, small enough to stay in L1.
+const flushBytes = 32 << 10
 
 // Bytes returns the encoded image.
 func (e *Encoder) Bytes() []byte { return e.buf }
 
+// spill flushes a digest-mode buffer that has filled.
+func (e *Encoder) spill() {
+	if e.hashing && len(e.buf) >= flushBytes {
+		e.sum = fnv1a(e.sum, e.buf)
+		e.buf = e.buf[:0]
+	}
+}
+
+// digest returns the FNV-1a hash of everything encoded in digest mode
+// and resets the encoder for the next component, keeping its buffer.
+func (e *Encoder) digest() uint64 {
+	h := fnv1a(e.sum, e.buf)
+	e.buf, e.sum = e.buf[:0], fnvOffset64
+	return h
+}
+
 // U32 appends a fixed-width uint32.
 func (e *Encoder) U32(v uint32) {
 	e.buf = binary.LittleEndian.AppendUint32(e.buf, v)
+	e.spill()
 }
 
 // U64 appends a fixed-width uint64.
 func (e *Encoder) U64(v uint64) {
 	e.buf = binary.LittleEndian.AppendUint64(e.buf, v)
+	e.spill()
 }
 
 // I64 appends a fixed-width int64.
@@ -62,18 +93,21 @@ func (e *Encoder) Bool(v bool) {
 		b = 1
 	}
 	e.buf = append(e.buf, b)
+	e.spill()
 }
 
 // Str appends a length-prefixed string.
 func (e *Encoder) Str(s string) {
 	e.U32(uint32(len(s)))
 	e.buf = append(e.buf, s...)
+	e.spill()
 }
 
 // Raw appends a length-prefixed byte blob.
 func (e *Encoder) Raw(b []byte) {
 	e.U32(uint32(len(b)))
 	e.buf = append(e.buf, b...)
+	e.spill()
 }
 
 // Decoder reads an Encoder image back. Errors are sticky: after the first

@@ -92,21 +92,34 @@ func DecodeState(img []byte) ([]Digest, map[string][]byte, error) {
 	return order, blobs, d.Err()
 }
 
-// HashBytes is the digest function: FNV-1a 64.
-func HashBytes(b []byte) uint64 {
-	h := fnv.New64a()
-	h.Write(b)
-	return h.Sum64()
+// FNV-1a 64 parameters (hash/fnv's New64a).
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// fnv1a folds b into the FNV-1a 64 state h.
+func fnv1a(h uint64, b []byte) uint64 {
+	for _, c := range b {
+		h ^= uint64(c)
+		h *= fnvPrime64
+	}
+	return h
 }
 
+// HashBytes is the digest function: FNV-1a 64.
+func HashBytes(b []byte) uint64 { return fnv1a(fnvOffset64, b) }
+
 // Digests hashes every component's current encoding, in registration
-// order.
+// order. Each encoding is hashed as a stream through one fixed buffer
+// (Encoder's digest mode), so a digest allocates the same whatever the
+// components' encoded size.
 func (r *Registry) Digests() []Digest {
 	out := make([]Digest, 0, len(r.names))
+	e := Encoder{hashing: true, sum: fnvOffset64}
 	for _, name := range r.names {
-		var e Encoder
 		r.byName[name].Snapshot(&e)
-		out = append(out, Digest{Component: name, Hash: HashBytes(e.Bytes())})
+		out = append(out, Digest{Component: name, Hash: e.digest()})
 	}
 	return out
 }

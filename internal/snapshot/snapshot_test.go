@@ -113,6 +113,80 @@ func TestRegistryRoundTripAndDigests(t *testing.T) {
 	}
 }
 
+// bulkComp encodes n mixed-width records (U32, U64, Bool, Str), so a
+// digest-mode flush can fall inside any field.
+type bulkComp struct{ n int }
+
+func (c *bulkComp) Snapshot(e *Encoder) {
+	for i := 0; i < c.n; i++ {
+		e.U32(uint32(i))
+		e.F64(float64(i) / 3)
+		e.Bool(i%3 == 0)
+		e.Str("flow")
+	}
+}
+
+// bulkRecordBytes is one bulkComp record's encoded size.
+const bulkRecordBytes = 4 + 8 + 1 + 4 + 4
+
+// TestRegistryDigestsStreamAcrossFlushes: a component whose encoding
+// spans more than three digest-mode flush buffers digests exactly as
+// HashBytes of its buffered encoding, between small components on
+// either side that reuse the same encoder.
+func TestRegistryDigestsStreamAcrossFlushes(t *testing.T) {
+	big := &bulkComp{n: 3*flushBytes/bulkRecordBytes + 777}
+	r := NewRegistry()
+	r.Register("before", &fakeComp{a: 3, b: 0.5})
+	r.Register("big", big)
+	r.Register("after", &bulkComp{n: 5})
+
+	_, blobs, err := DecodeState(r.EncodeAll())
+	if err != nil {
+		t.Fatalf("DecodeState: %v", err)
+	}
+	if n := len(blobs["big"]); n <= 3*flushBytes {
+		t.Fatalf("big component encodes %d bytes, want more than 3 flush buffers (%d)", n, 3*flushBytes)
+	}
+	got := r.Digests()
+	for i, name := range []string{"before", "big", "after"} {
+		if want := HashBytes(blobs[name]); got[i].Component != name || got[i].Hash != want {
+			t.Errorf("digest %d = %s %#x, want %s %#x (HashBytes of its encoding)",
+				i, got[i].Component, got[i].Hash, name, want)
+		}
+	}
+}
+
+// TestRegistryDigestsAllocsIndependentOfSize guards the streaming
+// digest: hashing a 1 MB component allocates exactly as often as
+// hashing a 4 MB one, so a digest's cost in memory does not grow with
+// the state it covers.
+func TestRegistryDigestsAllocsIndependentOfSize(t *testing.T) {
+	allocs := func(bytes int) float64 {
+		r := NewRegistry()
+		r.Register("small", &fakeComp{a: 1})
+		r.Register("big", &bulkComp{n: bytes / bulkRecordBytes})
+		return testing.AllocsPerRun(5, func() { r.Digests() })
+	}
+	if a1, a4 := allocs(1<<20), allocs(4<<20); a1 != a4 {
+		t.Fatalf("Digests allocates %.0f times over a 1 MB component but %.0f over 4 MB; want equal", a1, a4)
+	}
+}
+
+// BenchmarkRegistryDigests digests a registry holding one 4 MB
+// component and a few small ones.
+func BenchmarkRegistryDigests(b *testing.B) {
+	r := NewRegistry()
+	r.Register("head", &fakeComp{a: 1, b: 2})
+	r.Register("big", &bulkComp{n: 4 << 20 / bulkRecordBytes})
+	r.Register("tail", &bulkComp{n: 100})
+	b.SetBytes(int64(len(r.EncodeAll())))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.Digests()
+	}
+}
+
 func TestFirstDivergence(t *testing.T) {
 	mk := func(hashes ...uint64) Frame {
 		f := Frame{At: 1000, Events: 5}

@@ -104,14 +104,14 @@ func (tb *Testbed) buildFluid() {
 	downRes := make([]fluid.ResourceID, nHosts)
 	for i := 0; i < nHosts; i++ {
 		up, down := tb.Fabric.HostFluidTaps(i)
-		upRes[i] = net.AddResource(fmt.Sprintf("up/%d", i), lrate, buf, ecn)
+		upRes[i] = net.AddResource(lrate, buf, ecn)
 		net.BindSeam(upRes[i], up)
-		downRes[i] = net.AddResource(fmt.Sprintf("down/%d", i), lrate, buf, ecn)
+		downRes[i] = net.AddResource(lrate, buf, ecn)
 		net.BindSeam(downRes[i], down)
 	}
 	trunkRes := make([]fluid.ResourceID, len(tb.Fabric.TrunkPorts))
 	for i, tp := range tb.Fabric.TrunkPorts {
-		trunkRes[i] = net.AddResource("trunk/"+tp.Name, lrate, buf, ecn)
+		trunkRes[i] = net.AddResource(lrate, buf, ecn)
 		net.BindSeam(trunkRes[i], tp.Sw.FluidTap(tp.Port))
 	}
 
@@ -119,32 +119,34 @@ func (tb *Testbed) buildFluid() {
 	vUp := make([]fluid.ResourceID, fbCfg.Hosts)
 	vDown := make([]fluid.ResourceID, fbCfg.Hosts)
 	for v := 0; v < fbCfg.Hosts; v++ {
-		vUp[v] = net.AddResource(fmt.Sprintf("vup/%d", v), lrate, buf, ecn)
-		vDown[v] = net.AddResource(fmt.Sprintf("vdown/%d", v), lrate, buf, ecn)
+		vUp[v] = net.AddResource(lrate, buf, ecn)
+		vDown[v] = net.AddResource(lrate, buf, ecn)
 	}
 
-	// trunkPath mirrors the fabric's static routing between racks: the
-	// leaf–spine picks its spine by destination (the fabric's ECMP
+	// flowPath fills path with the source's up hop, the trunk hops from
+	// rack a to rack b, and the destination's down hop, and returns it.
+	// The trunk hops mirror the fabric's static routing between racks:
+	// the leaf–spine picks its spine by destination (the fabric's ECMP
 	// rule), the dumbbell has one pair.
-	trunkPath := func(a, b, dst int) []fluid.ResourceID {
-		if a == b || len(trunkRes) == 0 {
-			return nil
-		}
-		switch topo.Kind {
-		case fabric.TopoLeafSpine:
-			sp := dst % spines
-			return []fluid.ResourceID{
-				trunkRes[2*(a*spines+sp)],
-				trunkRes[2*(b*spines+sp)+1],
+	flowPath := func(path *[4]fluid.ResourceID, up fluid.ResourceID, a, b, dst int, down fluid.ResourceID) []fluid.ResourceID {
+		p := append(path[:0], up)
+		if a != b && len(trunkRes) > 0 {
+			switch topo.Kind {
+			case fabric.TopoLeafSpine:
+				sp := dst % spines
+				p = append(p, trunkRes[2*(a*spines+sp)], trunkRes[2*(b*spines+sp)+1])
+			case fabric.TopoDumbbell:
+				t := trunkRes[1]
+				if a == 0 {
+					t = trunkRes[0]
+				}
+				p = append(p, t)
 			}
-		case fabric.TopoDumbbell:
-			if a == 0 {
-				return []fluid.ResourceID{trunkRes[0]}
-			}
-			return []fluid.ResourceID{trunkRes[1]}
 		}
-		return nil
+		return append(p, down)
 	}
+	net.Grow(fbCfg.Flows)
+	var path [4]fluid.ResourceID
 
 	// Promotable flows first (flow index == twin index), between real
 	// sender/receiver pairs over the real seams.
@@ -154,13 +156,9 @@ func (tb *Testbed) buildFluid() {
 		for j := 0; j < fbCfg.Promotable; j++ {
 			si := len(tb.Receivers) + j%len(tb.Senders)
 			ri := j % len(tb.Receivers)
-			path := []fluid.ResourceID{upRes[si]}
-			path = append(path, trunkPath(
-				rackFor(topo, si, opts.Receivers),
-				rackFor(topo, ri, opts.Receivers),
-				int(tb.Receivers[ri].ID()))...)
-			path = append(path, downRes[ri])
-			idx := net.AddFlow(path...)
+			idx := net.AddFlow(flowPath(&path, upRes[si],
+				rackFor(topo, si, opts.Receivers), rackFor(topo, ri, opts.Receivers),
+				int(tb.Receivers[ri].ID()), downRes[ri])...)
 			net.SetPromotable(idx, true)
 		}
 		net.SetPromoteHooks(
@@ -175,10 +173,7 @@ func (tb *Testbed) buildFluid() {
 	for j := fbCfg.Promotable; j < fbCfg.Flows; j++ {
 		src := j % fbCfg.Hosts
 		dst := (src + 1 + (j/fbCfg.Hosts)%(fbCfg.Hosts-1)) % fbCfg.Hosts
-		path := []fluid.ResourceID{vUp[src]}
-		path = append(path, trunkPath(src%racks, dst%racks, dst)...)
-		path = append(path, vDown[dst])
-		net.AddFlow(path...)
+		net.AddFlow(flowPath(&path, vUp[src], src%racks, dst%racks, dst, vDown[dst])...)
 	}
 
 	// Coarse clock: the fault poll runs before the integrator each tick

@@ -355,6 +355,9 @@ func TestNewValidatesSerial(t *testing.T) {
 		{"fixed-level-below-dynamic", func(o *Config) { o.FixedLevel = -5 }},
 		{"mode-out-of-range", func(o *Config) { o.Mode = core.ModeOff + 1 }},
 		{"negative-flows", func(o *Config) { o.Flows = -1 }},
+		{"fluid-rtt-window-overflow", func(o *Config) {
+			o.FluidBackground = &FluidBackground{Hosts: 2, Tick: sim.Nanosecond, RTT: 65536 * sim.Nanosecond}
+		}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
