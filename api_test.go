@@ -53,6 +53,10 @@ func TestBadInputsReturnErrors(t *testing.T) {
 			Injections: []FaultInjection{FaultOneShot(FaultLinkFlap, Millisecond, -Microsecond)}}))},
 		{"fault plan with period within duration", newErr(WithFaultPlan(&FaultPlan{
 			Injections: []FaultInjection{FaultPeriodic(FaultPCIeStall, Millisecond, Millisecond, Microsecond, 2)}}))},
+		{"fault plan whose last periodic window overflows the clock", newErr(WithFaultPlan(&FaultPlan{
+			Injections: []FaultInjection{FaultPeriodic(FaultPCIeStall, Millisecond, Microsecond, 1<<62, 3)}}))},
+		{"fault plan whose one-shot window overflows the clock", newErr(WithFaultPlan(&FaultPlan{
+			Injections: []FaultInjection{FaultOneShot(FaultLinkFlap, 1<<62, 1<<62)}}))},
 		{"chaos with negative fault duration", chaosErr(ChaosConfig{Scenario: "link-flap", FaultFor: -1})},
 		{"chaos with negative fault start", chaosErr(ChaosConfig{Scenario: "link-flap", FaultAt: -1})},
 		{"lossless with negative RPC size", losslessErr(LosslessStudyConfig{RPCSize: -1})},

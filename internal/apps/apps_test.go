@@ -126,54 +126,3 @@ func TestAppValidation(t *testing.T) {
 		}()
 	}
 }
-
-func TestOpenLoopLowLoad(t *testing.T) {
-	e, send, recv := rig(t)
-	l := NewNetAppLOpen(e, send, recv, 2048, 10_000) // 10K RPC/s, trivial load
-	l.SetRecording(true)
-	l.Start()
-	e.RunUntil(20 * sim.Millisecond)
-	if l.Completed.Total() < 100 {
-		t.Fatalf("completed %d RPCs at 10K/s over 20ms", l.Completed.Total())
-	}
-	// At trivial load, open-loop latency ~ base RTT, bounded.
-	if p99 := l.Latency.Quantile(0.99); p99 > 500_000 {
-		t.Fatalf("p99 = %.0fus at trivial load", p99/1000)
-	}
-	if l.InFlight() > 5 {
-		t.Fatalf("in-flight %d at trivial load", l.InFlight())
-	}
-}
-
-func TestOpenLoopOverloadGrowsQueue(t *testing.T) {
-	// Offered load beyond what one flow/core can carry: in-flight and
-	// latency must grow (the open-loop collapse closed-loop hides).
-	e, send, recv := rig(t)
-	l := NewNetAppLOpen(e, send, recv, 32768, 200_000) // 32KB x 200K/s = 52Gbps on one flow
-	l.SetRecording(true)
-	l.Start()
-	e.RunUntil(20 * sim.Millisecond)
-	if l.InFlight() < 50 {
-		t.Fatalf("in-flight %d; overload should queue", l.InFlight())
-	}
-	if p50 := l.Latency.Quantile(0.5); p50 < 500_000 {
-		t.Fatalf("p50 = %.0fus; overload should inflate latency", p50/1000)
-	}
-}
-
-func TestOpenLoopValidation(t *testing.T) {
-	e, send, recv := rig(t)
-	for name, fn := range map[string]func(){
-		"zero size": func() { NewNetAppLOpen(e, send, recv, 0, 100) },
-		"zero rate": func() { NewNetAppLOpen(e, send, recv, 100, 0) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s did not panic", name)
-				}
-			}()
-			fn()
-		}()
-	}
-}

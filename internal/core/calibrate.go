@@ -28,7 +28,7 @@ func (h *HostCC) Calibrate(window sim.Time, margin float64, done func(it float64
 	if !h.running {
 		panic("core: Calibrate requires a running sampler")
 	}
-	h.e.After(window, func() {
+	sim.NewTimer(h.e, func() {
 		it := h.isEWMA.Value() * margin
 		if it > 0 {
 			h.SetIT(it)
@@ -36,7 +36,7 @@ func (h *HostCC) Calibrate(window sim.Time, margin float64, done func(it float64
 		if done != nil {
 			done(h.cfg.IT)
 		}
-	})
+	}).Reset(window)
 }
 
 // SetIT replaces the occupancy threshold, updating the default policy if

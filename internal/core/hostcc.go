@@ -225,6 +225,16 @@ type HostCC struct {
 	trBS      *telemetry.Track
 	trMarked  *telemetry.Track
 	sampleSeq uint64
+
+	// Sampler plumbing; at most one sample is in flight. sampleH starts
+	// the next sample and the two MSR read callbacks are method values
+	// bound once. The in-flight sample's span ID is sampleSeq-1, and its
+	// ROCC half waits in roccVal/roccAt for the RINS read.
+	sampleH  sim.HandlerID
+	roccDone func(uint64, sim.Time, error)
+	rinsDone func(uint64, sim.Time, error)
+	roccVal  uint64
+	roccAt   sim.Time
 }
 
 // New creates a hostCC module reading signals from f and driving mba.
@@ -257,6 +267,9 @@ func New(e *sim.Engine, f *msr.File, mba LevelController, cfg Config) *HostCC {
 	if cfg.Watchdog != nil {
 		h.wd = newWatchdog(e, mba, *cfg.Watchdog)
 	}
+	h.sampleH = e.Handler(func(uint64, uint64) { h.sample() })
+	h.roccDone = h.readROCC
+	h.rinsDone = h.readRINS
 	return h
 }
 
@@ -326,41 +339,45 @@ func (h *HostCC) sample() {
 	if !h.running {
 		return
 	}
-	id := h.sampleSeq
+	h.tr.RangeBegin(telemetry.HopSample, h.sampleSeq, h.e.Now())
 	h.sampleSeq++
-	h.tr.RangeBegin(telemetry.HopSample, id, h.e.Now())
-	h.f.Read(msr.IIOOccupancy, func(rocc uint64, lat sim.Time, err error) {
-		h.ReadLatency.Add(float64(lat))
-		if err != nil {
-			h.sampleFailed(id)
-			return
-		}
-		tRocc := h.f.ReadTSC()
-		h.f.Read(msr.IIOInsertions, func(rins uint64, lat2 sim.Time, err error) {
-			h.ReadLatency.Add(float64(lat2))
-			if err != nil {
-				h.sampleFailed(id)
-				return
-			}
-			tRins := h.f.ReadTSC()
-			h.ingest(rocc, tRocc, rins, tRins)
-			h.tr.RangeEnd(telemetry.HopSample, id, h.e.Now(), "sampled")
-			h.e.After(h.cfg.SampleInterval, h.sample)
-		})
-	})
+	h.f.Read(msr.IIOOccupancy, h.roccDone)
+}
+
+// readROCC retires the sample's first read and issues the second.
+func (h *HostCC) readROCC(rocc uint64, lat sim.Time, err error) {
+	h.ReadLatency.Add(float64(lat))
+	if err != nil {
+		h.sampleFailed()
+		return
+	}
+	h.roccVal, h.roccAt = rocc, h.f.ReadTSC()
+	h.f.Read(msr.IIOInsertions, h.rinsDone)
+}
+
+// readRINS retires the sample's second read and folds the snapshot in.
+func (h *HostCC) readRINS(rins uint64, lat sim.Time, err error) {
+	h.ReadLatency.Add(float64(lat))
+	if err != nil {
+		h.sampleFailed()
+		return
+	}
+	h.ingest(h.roccVal, h.roccAt, rins, h.f.ReadTSC())
+	h.tr.RangeEnd(telemetry.HopSample, h.sampleSeq-1, h.e.Now(), "sampled")
+	h.e.ScheduleAfter(h.cfg.SampleInterval, h.sampleH, 0, 0)
 }
 
 // sampleFailed accounts one failed signal collection and keeps the
 // sampling loop alive: the signal EWMAs are left untouched and the next
 // sample is scheduled normally (the kernel module's rdmsr wrapper does
 // the same — a fault is logged, the sample skipped).
-func (h *HostCC) sampleFailed(id uint64) {
+func (h *HostCC) sampleFailed() {
 	h.FailedSamples.Inc()
-	h.tr.RangeEnd(telemetry.HopSample, id, h.e.Now(), "read-failed")
+	h.tr.RangeEnd(telemetry.HopSample, h.sampleSeq-1, h.e.Now(), "read-failed")
 	if h.wd != nil {
 		h.wd.noteReadFailure()
 	}
-	h.e.After(h.cfg.SampleInterval, h.sample)
+	h.e.ScheduleAfter(h.cfg.SampleInterval, h.sampleH, 0, 0)
 }
 
 // ingest folds one counter snapshot into the signal EWMAs and triggers

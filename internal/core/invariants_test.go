@@ -148,7 +148,7 @@ func TestInvariantCheckerPeriodicAudit(t *testing.T) {
 // write machinery rather than a fake.
 func TestSenderGuardTripAndRearmUnderWriteFaults(t *testing.T) {
 	e := sim.NewEngine(1)
-	mba := cpu.NewMBA(e, nil, cpu.DefaultMBAConfig())
+	mba := cpu.NewMBA(e, cpu.DefaultMBAConfig())
 
 	var tx int64
 	backlog := 1 << 20 // deep transmit queue: starvation evidence

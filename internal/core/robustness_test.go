@@ -192,10 +192,10 @@ func TestWatchdogReadBackRetry(t *testing.T) {
 	})
 	w.start()
 	defer w.stop()
-	e.At(0, func() {
+	sim.NewTimer(e, func() {
 		w.noteRequest(5)
 		mba.RequestLevel(5) // swallowed
-	})
+	}).ResetAt(0)
 	e.RunUntil(sim.Millisecond)
 	if mba.Level() != 5 {
 		t.Fatalf("read-back retry did not recover the dropped write: level %d", mba.Level())

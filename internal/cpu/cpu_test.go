@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/mem"
-	"repro/internal/msr"
 	"repro/internal/packet"
 	"repro/internal/sim"
 )
@@ -17,7 +16,7 @@ func newMC(e *sim.Engine) *mem.Controller {
 
 func TestMBALevelChangeTakesWriteLatency(t *testing.T) {
 	e := sim.NewEngine(1)
-	m := NewMBA(e, nil, DefaultMBAConfig())
+	m := NewMBA(e, DefaultMBAConfig())
 	var changedAt sim.Time
 	m.OnChange(func(old, new int) { changedAt = e.Now() })
 	m.RequestLevel(2)
@@ -35,10 +34,10 @@ func TestMBALevelChangeTakesWriteLatency(t *testing.T) {
 
 func TestMBACoalescesRequestsDuringWrite(t *testing.T) {
 	e := sim.NewEngine(1)
-	m := NewMBA(e, nil, DefaultMBAConfig())
+	m := NewMBA(e, DefaultMBAConfig())
 	m.RequestLevel(1)
-	e.At(5*sim.Microsecond, func() { m.RequestLevel(3) })
-	e.At(10*sim.Microsecond, func() { m.RequestLevel(4) })
+	sim.NewTimer(e, func() { m.RequestLevel(3) }).ResetAt(5 * sim.Microsecond)
+	sim.NewTimer(e, func() { m.RequestLevel(4) }).ResetAt(10 * sim.Microsecond)
 	e.Run()
 	// First write applies 1 at 22us; second write applies latest target
 	// (4) at 44us. The intermediate 3 is coalesced away.
@@ -55,7 +54,7 @@ func TestMBACoalescesRequestsDuringWrite(t *testing.T) {
 
 func TestMBARedundantRequestNoWrite(t *testing.T) {
 	e := sim.NewEngine(1)
-	m := NewMBA(e, nil, DefaultMBAConfig())
+	m := NewMBA(e, DefaultMBAConfig())
 	m.RequestLevel(0)
 	e.Run()
 	if m.Writes != 0 {
@@ -63,20 +62,9 @@ func TestMBARedundantRequestNoWrite(t *testing.T) {
 	}
 }
 
-func TestMBAViaMSRFile(t *testing.T) {
-	e := sim.NewEngine(1)
-	f := msr.NewFile(e)
-	m := NewMBA(e, f, DefaultMBAConfig())
-	f.Write(msr.MBAThrottle, 3, nil)
-	e.Run()
-	if m.Level() != 3 {
-		t.Fatalf("level = %d after MSR write, want 3", m.Level())
-	}
-}
-
 func TestMBAOutOfRangePanics(t *testing.T) {
 	e := sim.NewEngine(1)
-	m := NewMBA(e, nil, DefaultMBAConfig())
+	m := NewMBA(e, DefaultMBAConfig())
 	defer func() {
 		if recover() == nil {
 			t.Error("out-of-range level did not panic")
@@ -129,7 +117,7 @@ func TestMAppThrottledByMBALevels(t *testing.T) {
 		mc := newMC(e)
 		cfg := DefaultMBAConfig()
 		cfg.WriteLatency = 1 // immediate for this test
-		m := NewMBA(e, nil, cfg)
+		m := NewMBA(e, cfg)
 		a := NewMApp(e, mc, m, DefaultMAppConfig(3))
 		a.Start()
 		m.RequestLevel(level)
@@ -152,16 +140,16 @@ func TestMAppPauseAndResume(t *testing.T) {
 	mc := newMC(e)
 	cfg := DefaultMBAConfig()
 	cfg.WriteLatency = 1
-	m := NewMBA(e, nil, cfg)
+	m := NewMBA(e, cfg)
 	a := NewMApp(e, mc, m, DefaultMAppConfig(1))
 	a.Start()
-	e.At(100*sim.Microsecond, func() { m.RequestLevel(4) })
-	e.At(200*sim.Microsecond, func() {
+	sim.NewTimer(e, func() { m.RequestLevel(4) }).ResetAt(100 * sim.Microsecond)
+	sim.NewTimer(e, func() {
 		if a.Parked() != a.Cores() {
 			t.Errorf("parked %d of %d cores", a.Parked(), a.Cores())
 		}
 		m.RequestLevel(0)
-	})
+	}).ResetAt(200 * sim.Microsecond)
 	e.RunUntil(250 * sim.Microsecond)
 	mc.MarkAll()
 	e.RunUntil(500 * sim.Microsecond)
@@ -331,7 +319,7 @@ func TestMBAOnChangeMultipleListeners(t *testing.T) {
 	e := sim.NewEngine(1)
 	cfg := DefaultMBAConfig()
 	cfg.WriteLatency = 1
-	m := NewMBA(e, nil, cfg)
+	m := NewMBA(e, cfg)
 	calls := 0
 	m.OnChange(func(old, new int) {
 		if old != 0 || new != 2 {
@@ -360,5 +348,5 @@ func TestMBAEmptyLevelsPanics(t *testing.T) {
 			t.Error("empty level table did not panic")
 		}
 	}()
-	NewMBA(e, nil, MBAConfig{})
+	NewMBA(e, MBAConfig{})
 }

@@ -55,6 +55,11 @@ type MApp struct {
 
 	stalled bool    // fault injection: all cores parked
 	burst   float64 // fault injection: issue-overhead divisor (0 or 1 = off)
+
+	// doneH retires a core's memory request; issueH issues its next one
+	// after the per-iteration delay. Cores are interchangeable, so
+	// neither event carries state.
+	doneH, issueH sim.HandlerID
 }
 
 // NewMApp creates the traffic generator. mba may be nil (never throttled).
@@ -69,6 +74,8 @@ func NewMApp(e *sim.Engine, mc *mem.Controller, mba *MBA, cfg MAppConfig) *MApp 
 		cfg.Efficiency = 1
 	}
 	a := &MApp{e: e, mc: mc, mba: mba, cfg: cfg}
+	a.doneH = e.Handler(a.requestDone)
+	a.issueH = e.Handler(func(uint64, uint64) { a.coreIssue() })
 	if mba != nil {
 		mba.OnChange(func(_, _ int) { a.resumeParked() })
 	}
@@ -130,21 +137,25 @@ func (a *MApp) coreIssue() {
 		Class:      mem.ClassMApp,
 		Efficiency: a.cfg.Efficiency,
 		Weight:     a.cfg.LFB,
-		OnComplete: func(sim.Time) {
-			delay := a.cfg.IssueOverhead
-			if a.burst > 1 {
-				delay = sim.Time(float64(delay) / a.burst)
-			}
-			if a.mba != nil {
-				delay += a.mba.Delay()
-			}
-			if delay > 0 {
-				a.e.After(delay, a.coreIssue)
-			} else {
-				a.coreIssue()
-			}
-		},
+		CompleteCB: sim.Callback{ID: a.doneH},
 	})
+}
+
+// requestDone is a core's completion handler: the next request issues
+// after the per-iteration overhead plus the MBA-imposed delay.
+func (a *MApp) requestDone(_, _ uint64) {
+	delay := a.cfg.IssueOverhead
+	if a.burst > 1 {
+		delay = sim.Time(float64(delay) / a.burst)
+	}
+	if a.mba != nil {
+		delay += a.mba.Delay()
+	}
+	if delay > 0 {
+		a.e.ScheduleAfter(delay, a.issueH, 0, 0)
+	} else {
+		a.coreIssue()
+	}
 }
 
 func (a *MApp) resumeParked() {

@@ -7,7 +7,6 @@ package cpu
 import (
 	"fmt"
 
-	"repro/internal/msr"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
@@ -75,6 +74,12 @@ type MBA struct {
 	writing  bool // MSR write in flight
 	onChange []func(old, new int)
 
+	// The one in-flight write: the level it carries, whether fault
+	// injection dropped it, and the handler that retires it.
+	writeLevel int
+	writeDrop  bool
+	writeDoneH sim.HandlerID
+
 	// writeFault, when set, is consulted once per MSR write.
 	writeFault func() WriteFault
 
@@ -91,18 +96,14 @@ type MBA struct {
 	writeSeq uint64
 }
 
-// NewMBA creates the MBA controller and registers its throttle register
-// with the MSR file (writes then carry the modeled 22 µs latency).
-func NewMBA(e *sim.Engine, f *msr.File, cfg MBAConfig) *MBA {
+// NewMBA creates the MBA controller. Level changes are MSR writes that
+// retire after the modeled WriteLatency (22 µs by default).
+func NewMBA(e *sim.Engine, cfg MBAConfig) *MBA {
 	if len(cfg.Levels) == 0 {
 		panic("cpu: MBA needs at least one level")
 	}
 	m := &MBA{e: e, cfg: cfg}
-	if f != nil {
-		f.RegisterWriter(msr.MBAThrottle, cfg.WriteLatency, func(v uint64) {
-			m.apply(int(v))
-		})
-	}
+	m.writeDoneH = e.Handler(m.writeDone)
 	return m
 }
 
@@ -167,39 +168,42 @@ func (m *MBA) SetWriteFault(fn func() WriteFault) { m.writeFault = fn }
 func (m *MBA) startWrite() {
 	m.writing = true
 	m.Writes++
-	want := m.target
+	m.writeLevel = m.target
 	var fault WriteFault
 	if m.writeFault != nil {
 		fault = m.writeFault()
 	}
-	id := m.writeSeq
+	m.writeDrop = fault.Drop
+	m.tr.RangeBegin(telemetry.HopMBAWrite, m.writeSeq, m.e.Now())
 	m.writeSeq++
-	m.tr.RangeBegin(telemetry.HopMBAWrite, id, m.e.Now())
-	m.e.After(m.cfg.WriteLatency+fault.ExtraLatency, func() {
-		m.writing = false
-		if m.tr != nil {
-			cause := "applied"
-			if fault.Drop {
-				cause = "dropped"
-			}
-			m.tr.RangeEnd(telemetry.HopMBAWrite, id, m.e.Now(), cause)
+	m.e.ScheduleAfter(m.cfg.WriteLatency+fault.ExtraLatency, m.writeDoneH, 0, 0)
+}
+
+// writeDone retires the in-flight write.
+func (m *MBA) writeDone(_, _ uint64) {
+	m.writing = false
+	if m.tr != nil {
+		cause := "applied"
+		if m.writeDrop {
+			cause = "dropped"
 		}
-		if fault.Drop {
-			// The hardware ate the write. Retry only if a newer target
-			// arrived while it was in flight (the driver's coalescing
-			// queue); an unchanged target is lost silently — recovering
-			// it is the watchdog's job (core.Watchdog read-back).
-			m.LostWrites++
-			if m.target != want {
-				m.startWrite()
-			}
-			return
-		}
-		m.apply(want)
-		if m.target != m.applied {
+		m.tr.RangeEnd(telemetry.HopMBAWrite, m.writeSeq-1, m.e.Now(), cause)
+	}
+	if m.writeDrop {
+		// The hardware ate the write. Retry only if a newer target
+		// arrived while it was in flight (the driver's coalescing
+		// queue); an unchanged target is lost silently — recovering
+		// it is the watchdog's job (core.Watchdog read-back).
+		m.LostWrites++
+		if m.target != m.writeLevel {
 			m.startWrite()
 		}
-	})
+		return
+	}
+	m.apply(m.writeLevel)
+	if m.target != m.applied {
+		m.startWrite()
+	}
 }
 
 func (m *MBA) apply(l int) {

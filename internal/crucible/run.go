@@ -214,7 +214,7 @@ func runOnce(sc Scenario, opts testbed.Config, plan faults.Plan) (o *outcome) {
 	if mid <= opts.Warmup {
 		mid = opts.Warmup + 100*sim.Microsecond
 	}
-	tb.E.At(mid, func() {
+	sim.NewTimer(tb.E, func() {
 		img := reg.EncodeAll()
 		o.midImg = img
 		live := reg.Digests()
@@ -249,7 +249,7 @@ func runOnce(sc Scenario, opts testbed.Config, plan faults.Plan) (o *outcome) {
 		if !bytes.Equal(ck2.Encode(), b) {
 			o.midErr = "checkpoint encode → decode → encode is not byte-identical"
 		}
-	})
+	}).ResetAt(mid)
 
 	// Phases: warmup, fault-free baseline, through the fault windows,
 	// drain to the horizon, then recovery probes for the goodput oracle.

@@ -238,6 +238,7 @@ type Switch struct {
 	WatchdogReleases stats.Counter
 	ingresses        []*Ingress
 	pauseFault       func() bool
+	portPauseH       sim.HandlerID // lands a pause frame on port arg0
 
 	// tr, when set before AttachPort, gives every port a queue-depth
 	// counter track plus a switch-wide CE-mark track.
@@ -288,8 +289,10 @@ type outPort struct {
 	fluid *FluidTap
 
 	// doneH fires when the port serializer finishes serFlight (the port
-	// serializes one packet at a time, so no slot table is needed).
+	// serializes one packet at a time, so no slot table is needed);
+	// watchdogH fires the PFC watchdog.
 	doneH     sim.HandlerID
+	watchdogH sim.HandlerID
 	serFlight *packet.Packet
 }
 
@@ -298,7 +301,9 @@ func NewSwitch(e *sim.Engine, cfg SwitchConfig) *Switch {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	return &Switch{e: e, cfg: cfg}
+	s := &Switch{e: e, cfg: cfg}
+	s.portPauseH = e.Handler(func(p, on uint64) { s.PortPause(PortID(p), on != 0) })
+	return s
 }
 
 // SetTracer attaches counter tracks for per-port queue depth and CE
@@ -360,6 +365,7 @@ func (s *Switch) AttachTrunk(link *Link) PortID {
 func (s *Switch) attach(link *Link, key uint64, name string) PortID {
 	o := &outPort{sw: s, link: link, key: key}
 	o.doneH = s.e.Handler(o.serDone)
+	o.watchdogH = s.e.Handler(o.watchdog)
 	baseRTT := s.cfg.INTBaseRTT
 	if baseRTT == 0 {
 		baseRTT = intDefaultBaseRTT

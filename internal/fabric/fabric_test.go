@@ -158,24 +158,20 @@ func TestBandwidthSharingUnderIncast(t *testing.T) {
 	sw := newSwitchedPath(e, cfg, func(*packet.Packet) { delivered++ })
 	// Each source injects at 100G: 2x overload.
 	gap := sim.Gbps(100).TimeFor(4096)
-	var inject func(src packet.HostID) func()
 	n := 0
-	inject = func(src packet.HostID) func() {
-		var fn func()
-		fn = func() {
-			if e.Now() > 2*sim.Millisecond {
-				return
-			}
-			p := dataPkt(2, 4096, packet.ECT0)
-			p.Flow.Src = src
-			sw.Inject(p)
-			n++
-			e.After(gap, fn)
+	var inject sim.HandlerID // arg0 is the source host
+	inject = e.Handler(func(src, _ uint64) {
+		if e.Now() > 2*sim.Millisecond {
+			return
 		}
-		return fn
-	}
-	e.After(0, inject(1))
-	e.After(0, inject(3))
+		p := dataPkt(2, 4096, packet.ECT0)
+		p.Flow.Src = packet.HostID(src)
+		sw.Inject(p)
+		n++
+		e.ScheduleAfter(gap, inject, src, 0)
+	})
+	e.ScheduleAfter(0, inject, 1, 0)
+	e.ScheduleAfter(0, inject, 3, 0)
 	e.RunUntil(2 * sim.Millisecond)
 	// Output at 100G can carry half the offered load.
 	frac := float64(delivered) / float64(n)

@@ -89,12 +89,12 @@ func headroomFor(cfg LinkConfig, maxFrame int) int {
 // PFC switch, and owns that ingress's XOFF/XON state. Created with
 // NewIngress; packets arriving on the ingress enter via InjectFrom.
 type Ingress struct {
-	sw    *Switch
-	name  string
-	delay sim.Time   // pause-frame flight time back to the sender
-	pause func(bool) // upstream pause target (switch port or NIC tx)
-	occ   int
-	xoff  bool
+	sw     *Switch
+	name   string
+	delay  sim.Time      // pause-frame flight time back to the sender
+	pauseH sim.HandlerID // lands a pause frame upstream; arg1 is on
+	occ    int
+	xoff   bool
 
 	// Xoffs counts XOFF assertions on this ingress.
 	Xoffs stats.Counter
@@ -110,7 +110,8 @@ func (s *Switch) NewIngress(name string, delay sim.Time, pause func(bool)) *Ingr
 	if pause == nil {
 		panic("fabric: nil ingress pause target")
 	}
-	ig := &Ingress{sw: s, name: name, delay: delay, pause: pause}
+	ig := &Ingress{sw: s, name: name, delay: delay}
+	ig.pauseH = s.e.Handler(func(_, on uint64) { pause(on != 0) })
 	s.ingresses = append(s.ingresses, ig)
 	return ig
 }
@@ -150,21 +151,24 @@ func (ig *Ingress) setXoff(on bool) {
 	if on {
 		ig.Xoffs.Inc()
 	}
-	ig.sw.sendPause(ig.delay, ig.pause, on)
+	ig.sw.sendPause(ig.delay, ig.pauseH, 0, on)
 }
 
 // sendPause models one pause frame leaving this switch: counted, subject
 // to the injected pause-frame-loss fault (a lost XON is how real PFC
-// storms begin), and applied to the upstream target after its flight
-// time. Pause frames are rare control events, so closure scheduling is
-// fine here.
-func (s *Switch) sendPause(delay sim.Time, target func(bool), on bool) {
+// storms begin), and landed after its flight time as an event of handler
+// h with arguments (arg0, on).
+func (s *Switch) sendPause(delay sim.Time, h sim.HandlerID, arg0 uint64, on bool) {
 	s.PauseFrames.Inc()
 	if s.pauseFault != nil && s.pauseFault() {
 		s.PauseLost.Inc()
 		return
 	}
-	s.e.After(delay, func() { target(on) })
+	var b uint64
+	if on {
+		b = 1
+	}
+	s.e.ScheduleAfter(delay, h, arg0, b)
 }
 
 // SetPauseFault installs a per-pause-frame loss predicate (fault
@@ -176,7 +180,7 @@ func (s *Switch) SetPauseFault(fn func() bool) { s.pauseFault = fn }
 // like any pause frame this switch handles, applied after the frame's
 // flight time.
 func (s *Switch) PausePortFrom(p PortID, delay sim.Time, on bool) {
-	s.sendPause(delay, func(b bool) { s.PortPause(p, b) }, on)
+	s.sendPause(delay, s.portPauseH, uint64(p), on)
 }
 
 // PortPause asserts (on=true) or releases (on=false) PFC pause on an
@@ -244,13 +248,7 @@ func (o *outPort) setPause(on, forced bool) {
 			o.sw.tr.RangeBegin(telemetry.HopPause, o.trPauseID, e.Now())
 		}
 		if to := o.sw.cfg.PFC.ResumeTimeout; to > 0 {
-			gen := o.pauseGen
-			e.After(to, func() {
-				if o.pauseGen == gen && (o.paused || o.forced) {
-					o.sw.WatchdogReleases.Inc()
-					o.forceRelease()
-				}
-			})
+			e.ScheduleAfter(to, o.watchdogH, o.pauseGen, 0)
 		}
 	} else {
 		o.pausedTotal += e.Now() - o.pausedAt
@@ -258,6 +256,15 @@ func (o *outPort) setPause(on, forced bool) {
 			o.sw.tr.RangeEnd(telemetry.HopPause, o.trPauseID, e.Now(), "")
 		}
 		o.pump()
+	}
+}
+
+// watchdog is the PFC watchdog's handler; arg0 is the pause generation
+// it was armed under, so a pause that has since ended is left alone.
+func (o *outPort) watchdog(gen, _ uint64) {
+	if o.pauseGen == gen && (o.paused || o.forced) {
+		o.sw.WatchdogReleases.Inc()
+		o.forceRelease()
 	}
 }
 

@@ -16,6 +16,7 @@ package faults
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/sim"
 )
@@ -172,8 +173,30 @@ func (p Plan) Validate() error {
 				return fmt.Errorf("faults: injection %d (%v): window kind needs a positive duration", n, inj.Kind)
 			}
 		}
+		if _, ok := inj.end(); !ok {
+			return fmt.Errorf("faults: injection %d (%v): last window ends past the end of simulated time", n, inj.Kind)
+		}
 	}
 	return nil
+}
+
+// end returns the instant the injection's last window clears (the first
+// window for an unbounded periodic injection), and false when that
+// instant overflows sim.Time. The fields must be non-negative.
+func (inj Injection) end() (sim.Time, bool) {
+	const maxTime = sim.Time(math.MaxInt64)
+	end := inj.At
+	if inj.Period > 0 && inj.Count > 1 {
+		n := sim.Time(inj.Count - 1)
+		if inj.Period > (maxTime-end)/n {
+			return 0, false
+		}
+		end += n * inj.Period
+	}
+	if inj.Duration > maxTime-end {
+		return 0, false
+	}
+	return end + inj.Duration, true
 }
 
 // End returns the instant the last window of the plan clears (periodic
@@ -182,11 +205,7 @@ func (p Plan) Validate() error {
 func (p Plan) End() sim.Time {
 	var end sim.Time
 	for _, inj := range p.Injections {
-		last := inj.At + inj.Duration
-		if inj.Period > 0 && inj.Count > 0 {
-			last = inj.At + sim.Time(inj.Count-1)*inj.Period + inj.Duration
-		}
-		if last > end {
+		if last, _ := inj.end(); last > end {
 			end = last
 		}
 	}

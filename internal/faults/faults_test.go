@@ -68,18 +68,18 @@ func TestMSRStaleWindow(t *testing.T) {
 	in.Arm()
 
 	var got []uint64
-	read := func() {
+	read := e.Handler(func(_, _ uint64) {
 		f.Read(msr.IIOOccupancy, func(v uint64, _ sim.Time, err error) {
 			if err != nil {
 				t.Fatalf("unexpected read error: %v", err)
 			}
 			got = append(got, v)
 		})
-	}
+	})
 	// Before, inside, and after the window (reads take ~0.5-1.2 µs).
-	e.At(0, read)
-	e.At(15*sim.Microsecond, read)
-	e.At(30*sim.Microsecond, read)
+	e.Schedule(0, read, 0, 0)
+	e.Schedule(15*sim.Microsecond, read, 0, 0)
+	e.Schedule(30*sim.Microsecond, read, 0, 0)
 	e.Run()
 
 	if len(got) != 3 {
@@ -105,13 +105,13 @@ func TestMSRFailWindow(t *testing.T) {
 	}}, Seams{MSR: f})
 	in.Arm()
 	var errs int
-	e.At(sim.Microsecond, func() {
+	sim.NewTimer(e, func() {
 		f.Read(msr.IIOOccupancy, func(_ uint64, _ sim.Time, err error) {
 			if err != nil {
 				errs++
 			}
 		})
-	})
+	}).ResetAt(sim.Microsecond)
 	e.Run()
 	if errs != 1 {
 		t.Fatalf("in-window read did not fail")
@@ -123,14 +123,14 @@ func TestMSRFailWindow(t *testing.T) {
 
 func TestMBADropWindow(t *testing.T) {
 	e := sim.NewEngine(1)
-	mba := cpu.NewMBA(e, nil, cpu.DefaultMBAConfig())
+	mba := cpu.NewMBA(e, cpu.DefaultMBAConfig())
 	in := MustNewInjector(e, Plan{Injections: []Injection{
 		OneShot(MBADrop, 0, 100*sim.Microsecond),
 	}}, Seams{MBA: mba})
 	in.Arm()
 
 	// Write issued inside the window: lost.
-	e.At(sim.Microsecond, func() { mba.RequestLevel(2) })
+	sim.NewTimer(e, func() { mba.RequestLevel(2) }).ResetAt(sim.Microsecond)
 	e.RunUntil(50 * sim.Microsecond)
 	if mba.Level() != 0 {
 		t.Fatalf("dropped write applied: level %d", mba.Level())
@@ -139,7 +139,7 @@ func TestMBADropWindow(t *testing.T) {
 		t.Fatalf("LostWrites = %d, want 1", mba.LostWrites)
 	}
 	// Retried after the window clears: applies normally.
-	e.At(120*sim.Microsecond, func() { mba.RequestLevel(2) })
+	sim.NewTimer(e, func() { mba.RequestLevel(2) }).ResetAt(120 * sim.Microsecond)
 	e.Run()
 	if mba.Level() != 2 {
 		t.Fatalf("post-window write not applied: level %d", mba.Level())
@@ -159,8 +159,9 @@ func TestLinkFlapAndPeriodic(t *testing.T) {
 		return &packet.Packet{Flow: packet.FlowID{Dst: 1}, PayloadLen: 100}
 	}
 	// Windows: [10,20) and [40,50) µs.
+	send := e.Handler(func(_, _ uint64) { l.Send(mk()) })
 	for _, at := range []sim.Time{0, 15 * sim.Microsecond, 25 * sim.Microsecond, 45 * sim.Microsecond, 55 * sim.Microsecond} {
-		e.At(at, func() { l.Send(mk()) })
+		e.Schedule(at, send, 0, 0)
 	}
 	e.Run()
 	if delivered != 3 {
@@ -171,6 +172,34 @@ func TestLinkFlapAndPeriodic(t *testing.T) {
 	}
 	if len(in.Events) != 4 {
 		t.Fatalf("window transitions = %d, want 4", len(in.Events))
+	}
+}
+
+// An unbounded periodic injection (Count 0) keeps opening windows, each
+// scheduled as the previous one clears, so at most one window's events
+// are ever queued.
+func TestUnboundedPeriodicWindows(t *testing.T) {
+	e := sim.NewEngine(1)
+	l := fabric.NewLink(e, fabric.DefaultLinkConfig(), func(*packet.Packet) {})
+	in := MustNewInjector(e, Plan{Injections: []Injection{
+		Periodic(LinkFlap, 10*sim.Microsecond, 10*sim.Microsecond, 30*sim.Microsecond, 0),
+	}}, Seams{Links: []*fabric.Link{l}})
+	in.Arm()
+	e.RunUntil(105 * sim.Microsecond)
+	var want []Event
+	for _, at := range []sim.Time{10, 20, 40, 50, 70, 80, 100} {
+		want = append(want, Event{At: at * sim.Microsecond, Kind: LinkFlap, Active: len(want)%2 == 0})
+	}
+	if len(in.Events) != len(want) {
+		t.Fatalf("events = %v, want %v", in.Events, want)
+	}
+	for i := range want {
+		if in.Events[i] != want[i] {
+			t.Fatalf("events = %v, want %v", in.Events, want)
+		}
+	}
+	if e.Pending() != 1 {
+		t.Fatalf("pending events = %d, want 1 (the open window's close)", e.Pending())
 	}
 }
 
@@ -190,7 +219,7 @@ func TestPCIeStallWindow(t *testing.T) {
 		t.Fatal("TrySend refused with a full pool")
 	}
 	consumed := tlp.Lines
-	e.At(2*sim.Microsecond, func() {
+	sim.NewTimer(e, func() {
 		if !link.CreditStalled() {
 			t.Error("stall window did not engage")
 		}
@@ -203,7 +232,7 @@ func TestPCIeStallWindow(t *testing.T) {
 		if link.SequesteredCredits() != consumed {
 			t.Errorf("sequestered = %d, want %d", link.SequesteredCredits(), consumed)
 		}
-	})
+	}).ResetAt(2 * sim.Microsecond)
 	e.Run()
 	if link.CreditStalled() {
 		t.Error("stall window did not clear")
@@ -222,11 +251,11 @@ func TestNICDropDeterministic(t *testing.T) {
 			Probabilistic(NICDrop, 0, sim.Millisecond, 0.3),
 		}}, Seams{NIC: n})
 		in.Arm()
+		arrive := e.Handler(func(_, _ uint64) {
+			n.Receive(&packet.Packet{Flow: packet.FlowID{Dst: 1}, PayloadLen: 1000})
+		})
 		for i := 0; i < 200; i++ {
-			at := sim.Time(i) * sim.Microsecond
-			e.At(at, func() {
-				n.Receive(&packet.Packet{Flow: packet.FlowID{Dst: 1}, PayloadLen: 1000})
-			})
+			e.Schedule(sim.Time(i)*sim.Microsecond, arrive, 0, 0)
 		}
 		e.Run()
 		return n.FaultDrops.Total()

@@ -2,6 +2,7 @@ package faults
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/cpu"
 	"repro/internal/fabric"
@@ -50,6 +51,8 @@ type Injector struct {
 	prob   [numKinds]float64 // per-event probability while active
 	mag    [numKinds]float64 // magnitude while active
 	armed  bool
+	// openH and closeH open and close window arg1 of injection arg0.
+	openH, closeH sim.HandlerID
 	// ext reports whether the plan uses any post-legacy kind; snapshots
 	// append the extended per-kind state only then, so recordings of old
 	// plans keep their original byte layout.
@@ -66,7 +69,10 @@ func NewInjector(e *sim.Engine, plan Plan, s Seams) (*Injector, error) {
 	if err := plan.Validate(); err != nil {
 		return nil, err
 	}
+	plan.Injections = slices.Clone(plan.Injections)
 	in := &Injector{e: e, plan: plan, s: s}
+	in.openH = e.Handler(func(i, _ uint64) { in.open(in.plan.Injections[i]) })
+	in.closeH = e.Handler(in.closeWindow)
 	for _, inj := range plan.Injections {
 		if inj.Kind >= legacyKinds {
 			in.ext = true
@@ -98,37 +104,35 @@ func (in *Injector) Arm() {
 	}
 	in.armed = true
 	in.installHooks()
-	for _, inj := range in.plan.Injections {
-		in.schedule(inj)
+	for i, inj := range in.plan.Injections {
+		reps := 1
+		if inj.Period > 0 {
+			// Count 0 is unbounded: each window is scheduled as the
+			// previous one clears (closeWindow), so the event queue never
+			// holds more than one ahead.
+			reps = max(inj.Count, 1)
+		}
+		for n := 0; n < reps; n++ {
+			in.window(i, n)
+		}
 	}
 }
 
-func (in *Injector) schedule(inj Injection) {
-	starts := func(n int) sim.Time { return inj.At + sim.Time(n)*inj.Period }
-	reps := 1
-	if inj.Period > 0 {
-		reps = inj.Count
-	}
-	window := func(n int) {
-		in.e.At(starts(n), func() { in.open(inj) })
-		in.e.At(starts(n)+inj.Duration, func() { in.close(inj) })
-	}
-	if inj.Period > 0 && reps == 0 {
-		// Unbounded periodic: schedule each window as the previous one
-		// clears, so the event queue never holds more than one ahead.
-		var next func(n int)
-		next = func(n int) {
-			in.e.At(starts(n), func() { in.open(inj) })
-			in.e.At(starts(n)+inj.Duration, func() {
-				in.close(inj)
-				next(n + 1)
-			})
-		}
-		next(0)
-		return
-	}
-	for n := 0; n < reps; n++ {
-		window(n)
+// window schedules the opening and closing of window n of injection i.
+func (in *Injector) window(i, n int) {
+	inj := &in.plan.Injections[i]
+	start := inj.At + sim.Time(n)*inj.Period
+	in.e.Schedule(start, in.openH, uint64(i), uint64(n))
+	in.e.Schedule(start+inj.Duration, in.closeH, uint64(i), uint64(n))
+}
+
+// closeWindow is closeH's handler; an unbounded periodic injection
+// schedules its next window here.
+func (in *Injector) closeWindow(i, n uint64) {
+	inj := in.plan.Injections[i]
+	in.close(inj)
+	if inj.Period > 0 && inj.Count == 0 {
+		in.window(int(i), int(n)+1)
 	}
 }
 

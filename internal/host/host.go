@@ -93,7 +93,7 @@ func New(e *sim.Engine, cfg Config) *Host {
 	h := &Host{E: e, Cfg: cfg}
 	h.MC = mem.NewController(e, cfg.Mem)
 	h.MSR = msr.NewFile(e)
-	h.MBA = cpu.NewMBA(e, h.MSR, cfg.MBA)
+	h.MBA = cpu.NewMBA(e, cfg.MBA)
 	if cfg.DDIO {
 		h.DDIO = cache.New(cfg.Cache, e.Rand())
 		// LLC pollution tracks host-local traffic intensity: MApp lines

@@ -16,14 +16,19 @@ func loopback(t *testing.T, ddio bool) (*sim.Engine, *Host, *Host) {
 	e := sim.NewEngine(1)
 	a := New(e, DefaultConfig(1, 4096, ddio))
 	b := New(e, DefaultConfig(2, 4096, ddio))
-	wire := func(dst *Host) func(*packet.Packet) {
-		return func(p *packet.Packet) {
-			e.After(5*sim.Microsecond, func() { dst.ReceiveFromWire(p) })
-		}
-	}
-	a.SetOutput(wire(b))
-	b.SetOutput(wire(a))
+	a.SetOutput(wire(e, b))
+	b.SetOutput(wire(e, a))
 	return e, a, b
+}
+
+// wire returns a fixed-delay wire that delivers each packet to dst 5 µs
+// after it is sent.
+func wire(e *sim.Engine, dst *Host) func(*packet.Packet) {
+	var inflight sim.Slots[*packet.Packet]
+	arrive := e.Handler(func(slot, _ uint64) { dst.ReceiveFromWire(inflight.Take(slot)) })
+	return func(p *packet.Packet) {
+		e.ScheduleAfter(5*sim.Microsecond, arrive, inflight.Put(p), 0)
+	}
 }
 
 func TestEndToEndTransferThroughDatapath(t *testing.T) {

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/packet"
 	"repro/internal/sim"
 	"repro/internal/transport"
 )
@@ -20,13 +19,8 @@ func TestSenderSideGuardPreventsTxStarvation(t *testing.T) {
 		scfg.NIC.TxBlockingReads = true // transmit waits for memory reads
 		sender := New(e, scfg)
 		receiver := New(e, DefaultConfig(2, 4096, false))
-		wire := func(dst *Host) func(*packet.Packet) {
-			return func(p *packet.Packet) {
-				e.After(5*sim.Microsecond, func() { dst.ReceiveFromWire(p) })
-			}
-		}
-		sender.SetOutput(wire(receiver))
-		receiver.SetOutput(wire(sender))
+		sender.SetOutput(wire(e, receiver))
+		receiver.SetOutput(wire(e, sender))
 
 		// Heavy host-local traffic on the sender.
 		sender.StartMApp(3)

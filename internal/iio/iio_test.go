@@ -51,9 +51,9 @@ func newDatapath(t *testing.T, ddioOn bool) *datapath {
 func (dp *datapath) feed(rate sim.Rate, pktBytes int, dur sim.Time) {
 	gap := rate.TimeFor(pktBytes)
 	end := dp.e.Now() + dur
-	var next func()
+	var next sim.HandlerID
 	seq := uint64(0)
-	next = func() {
+	next = dp.e.Handler(func(_, _ uint64) {
 		if dp.e.Now() >= end {
 			return
 		}
@@ -64,9 +64,9 @@ func (dp *datapath) feed(rate sim.Rate, pktBytes int, dur sim.Time) {
 		}
 		seq += uint64(p.PayloadLen)
 		dp.n.Receive(p)
-		dp.e.After(gap, next)
-	}
-	dp.e.After(0, next)
+		dp.e.ScheduleAfter(gap, next, 0, 0)
+	})
+	dp.e.ScheduleAfter(0, next, 0, 0)
 }
 
 // avgOccupancy measures mean IIO occupancy over a window via the ROCC
@@ -220,10 +220,9 @@ func TestDDIOEvictionChargesMemoryBandwidth(t *testing.T) {
 	io.SetLink(link)
 	n = nic.New(e, nic.DefaultConfig(), link, nil)
 	mc.MarkAll()
+	arrive := e.Handler(func(_, _ uint64) { n.Receive(&packet.Packet{PayloadLen: 4096}) })
 	for i := 0; i < 50; i++ {
-		e.After(sim.Time(i)*sim.Microsecond, func() {
-			n.Receive(&packet.Packet{PayloadLen: 4096})
-		})
+		e.ScheduleAfter(sim.Time(i)*sim.Microsecond, arrive, 0, 0)
 	}
 	e.Run()
 	if delivered != 50 {
@@ -304,9 +303,10 @@ func TestROCCAverageFormulaMatchesHostCCComputation(t *testing.T) {
 	e := dp.e
 	// Hold occupancy at 10 lines for 1us, then 30 lines for 3us, via the
 	// internal setter (white-box).
-	e.At(0, func() { dp.io.setOcc(10) })
-	e.At(1000, func() { dp.io.setOcc(30) })
-	e.At(4000, func() { dp.io.setOcc(0) })
+	setOcc := e.Handler(func(lines, _ uint64) { dp.io.setOcc(int(lines)) })
+	e.Schedule(0, setOcc, 10, 0)
+	e.Schedule(1000, setOcc, 30, 0)
+	e.Schedule(4000, setOcc, 0, 0)
 	e.RunUntil(4000)
 	r2 := dp.io.ROCC()
 	// Integral: 10*1000 + 30*3000 = 100000 line-ns -> /2ns ticks = 50000.

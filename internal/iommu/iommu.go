@@ -76,6 +76,19 @@ type IOMMU struct {
 	Misses stats.Counter
 	// WalkTime accumulates total time spent walking page tables.
 	WalkTime sim.Time
+
+	// hitH retires an IOTLB hit and walkH one page-table read; both
+	// carry the slot of their translation in xlats.
+	hitH, walkH sim.HandlerID
+	xlats       sim.Slots[xlat]
+}
+
+// xlat is one in-flight translation.
+type xlat struct {
+	page  uint64
+	start sim.Time
+	left  int // page-table reads not yet retired
+	done  func()
 }
 
 // New creates an IOMMU backed by the given memory controller.
@@ -86,13 +99,16 @@ func New(e *sim.Engine, mc *mem.Controller, cfg Config) *IOMMU {
 	if cfg.WorkingSetPages <= 0 {
 		cfg.WorkingSetPages = 512
 	}
-	return &IOMMU{
+	u := &IOMMU{
 		e:       e,
 		mc:      mc,
 		cfg:     cfg,
 		lru:     list.New(),
 		entries: make(map[uint64]*list.Element),
 	}
+	u.hitH = e.Handler(func(slot, _ uint64) { u.xlats.Take(slot).done() })
+	u.walkH = e.Handler(u.walkRead)
+	return u
 }
 
 // Config returns the configuration.
@@ -117,31 +133,34 @@ func (u *IOMMU) Translate(page uint64, done func()) {
 	if el, ok := u.entries[page]; ok {
 		u.Hits.Inc()
 		u.lru.MoveToFront(el)
-		u.e.After(u.cfg.HitLatency, done)
+		u.e.ScheduleAfter(u.cfg.HitLatency, u.hitH, u.xlats.Put(xlat{done: done}), 0)
 		return
 	}
 	u.Misses.Inc()
-	start := u.e.Now()
-	u.walk(u.cfg.WalkLevels, func() {
-		u.WalkTime += u.e.Now() - start
-		u.install(page)
-		done()
+	u.walk(u.xlats.Put(xlat{page: page, start: u.e.Now(), left: u.cfg.WalkLevels, done: done}))
+}
+
+// walk issues the next dependent page-table read of the translation
+// parked at slot.
+func (u *IOMMU) walk(slot uint64) {
+	u.mc.Submit(mem.Request{
+		Size:       mem.CacheLine,
+		Class:      mem.ClassOther,
+		CompleteCB: sim.Callback{ID: u.walkH, Arg0: slot},
 	})
 }
 
-// walk performs n dependent page-table reads.
-func (u *IOMMU) walk(n int, done func()) {
-	if n == 0 {
-		done()
+// walkRead retires one page-table read; the last one installs the entry
+// and completes the translation.
+func (u *IOMMU) walkRead(slot, _ uint64) {
+	x := u.xlats.Take(slot)
+	if x.left--; x.left > 0 {
+		u.walk(u.xlats.Put(x))
 		return
 	}
-	u.mc.Submit(mem.Request{
-		Size:  mem.CacheLine,
-		Class: mem.ClassOther,
-		OnComplete: func(sim.Time) {
-			u.walk(n-1, done)
-		},
-	})
+	u.WalkTime += u.e.Now() - x.start
+	u.install(x.page)
+	x.done()
 }
 
 func (u *IOMMU) install(page uint64) {

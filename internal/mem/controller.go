@@ -114,20 +114,12 @@ type Request struct {
 	// outstanding cacheline accesses). It feeds the load-latency term;
 	// zero means 1.
 	Weight int
-	// OnAdmit fires when the request is admitted into the controller
+	// AdmitCB fires when the request is admitted into the controller
 	// queue (IIO uses this to replenish PCIe credits). Optional.
-	OnAdmit func()
-	// OnComplete fires when the transaction finishes (data in DRAM /
-	// data returned). Optional.
-	OnComplete func(lat sim.Time)
-
-	// AdmitCB/CompleteCB are the allocation-free equivalents of
-	// OnAdmit/OnComplete: pre-registered handlers invoked with the
-	// callback's own arguments. CompleteCB is dispatched as
-	// (Arg0, uint64(lat)) — the measured latency replaces Arg1. When both
-	// a closure and a Callback are set for the same notification, the
-	// closure wins (they are alternatives, not a chain).
-	AdmitCB    sim.Callback
+	AdmitCB sim.Callback
+	// CompleteCB fires when the transaction finishes (data in DRAM /
+	// data returned). It is dispatched as (Arg0, uint64(lat)): the
+	// measured latency replaces Arg1. Optional.
 	CompleteCB sim.Callback
 }
 
@@ -159,7 +151,6 @@ type completion struct {
 	size      int
 	class     Class
 	submitted sim.Time
-	fn        func(lat sim.Time)
 	cb        sim.Callback
 }
 
@@ -183,12 +174,8 @@ func (c *Controller) complete(slot, _ uint64) {
 	c.inFlight -= comp.weight
 	c.meters[comp.class].Add(int64(comp.size))
 	c.recent[comp.class].add(now, float64(comp.size))
-	lat := now - comp.submitted
-	switch {
-	case comp.fn != nil:
-		comp.fn(lat)
-	case comp.cb.Set():
-		c.e.Dispatch(comp.cb.ID, comp.cb.Arg0, uint64(lat))
+	if comp.cb.Set() {
+		c.e.Dispatch(comp.cb.ID, comp.cb.Arg0, uint64(now-comp.submitted))
 	}
 }
 
@@ -227,11 +214,7 @@ func (c *Controller) Submit(req Request) {
 	// queue bound. A request that fits immediately is admitted now.
 	admit := max(now, dep-c.cfg.EffectiveBW.TimeFor(c.cfg.WriteQueueBytes)) +
 		sim.Time(c.cfg.WriteLoadFactor*float64(c.loadLatency()))
-	if req.OnAdmit != nil {
-		c.e.At(admit, req.OnAdmit)
-	} else if req.AdmitCB.Set() {
-		c.e.Invoke(admit, req.AdmitCB)
-	}
+	c.e.Invoke(admit, req.AdmitCB)
 
 	complete := dep + c.cfg.BaseLatency + c.loadLatency()
 	slot := c.comps.Put(completion{
@@ -239,7 +222,6 @@ func (c *Controller) Submit(req Request) {
 		size:      req.Size,
 		class:     req.Class,
 		submitted: now,
-		fn:        req.OnComplete,
 		cb:        req.CompleteCB,
 	})
 	c.e.Schedule(complete, c.completeH, slot, 0)

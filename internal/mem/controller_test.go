@@ -8,6 +8,12 @@ import (
 	"repro/internal/sim"
 )
 
+// latencyCB returns a completion callback that stores each request's
+// latency in *lat.
+func latencyCB(e *sim.Engine, lat *sim.Time) sim.Callback {
+	return sim.Callback{ID: e.Handler(func(_, l uint64) { *lat = sim.Time(l) })}
+}
+
 func testConfig() Config {
 	return Config{
 		TheoreticalBW:   sim.GBps(40),
@@ -21,7 +27,7 @@ func TestUnloadedLatencyIsBasePlusService(t *testing.T) {
 	e := sim.NewEngine(1)
 	c := NewController(e, testConfig())
 	var lat sim.Time
-	c.Submit(Request{Size: 4000, Class: ClassIIO, OnComplete: func(l sim.Time) { lat = l }})
+	c.Submit(Request{Size: 4000, Class: ClassIIO, CompleteCB: latencyCB(e, &lat)})
 	e.Run()
 	// 4000B at 40GB/s = 100ns service + 100ns base.
 	if lat != 200 {
@@ -33,8 +39,9 @@ func TestQueueingInflatesLatency(t *testing.T) {
 	e := sim.NewEngine(1)
 	c := NewController(e, testConfig())
 	var last sim.Time
+	done := latencyCB(e, &last)
 	for i := 0; i < 10; i++ {
-		c.Submit(Request{Size: 4000, Class: ClassMApp, OnComplete: func(l sim.Time) { last = l }})
+		c.Submit(Request{Size: 4000, Class: ClassMApp, CompleteCB: done})
 	}
 	e.Run()
 	// 10 requests x 100ns service, FCFS: the last sees 1000ns + 100 base.
@@ -47,8 +54,9 @@ func TestAdmissionGatedByWriteQueue(t *testing.T) {
 	e := sim.NewEngine(1)
 	c := NewController(e, testConfig()) // 4096B queue = 102.4ns of service
 	var admits []sim.Time
+	admit := sim.Callback{ID: e.Handler(func(_, _ uint64) { admits = append(admits, e.Now()) })}
 	for i := 0; i < 4; i++ {
-		c.Submit(Request{Size: 4096, Class: ClassIIO, OnAdmit: func() { admits = append(admits, e.Now()) }})
+		c.Submit(Request{Size: 4096, Class: ClassIIO, AdmitCB: admit})
 	}
 	e.Run()
 	if len(admits) != 4 {
@@ -75,7 +83,7 @@ func TestEfficiencyDeratesService(t *testing.T) {
 	e := sim.NewEngine(1)
 	c := NewController(e, testConfig())
 	var lat sim.Time
-	c.Submit(Request{Size: 4000, Class: ClassMApp, Efficiency: 0.5, OnComplete: func(l sim.Time) { lat = l }})
+	c.Submit(Request{Size: 4000, Class: ClassMApp, Efficiency: 0.5, CompleteCB: latencyCB(e, &lat)})
 	e.Run()
 	// Charged as 8000B: 200ns service + 100 base.
 	if lat != 300 {
@@ -90,17 +98,17 @@ func TestBandwidthConservation(t *testing.T) {
 	c := NewController(e, testConfig())
 	c.MarkAll()
 	total := 0
-	var pump func()
-	pump = func() {
+	var pump sim.HandlerID
+	pump = e.Handler(func(_, _ uint64) {
 		if e.Now() >= 100*sim.Microsecond {
 			return
 		}
 		c.Submit(Request{Size: 1024, Class: ClassMApp})
 		c.Submit(Request{Size: 1024, Class: ClassIIO})
 		total += 2048
-		e.After(10, pump) // 204.8 GB/s offered
-	}
-	e.After(0, pump)
+		e.ScheduleAfter(10, pump, 0, 0) // 204.8 GB/s offered
+	})
+	e.ScheduleAfter(0, pump, 0, 0)
 	e.RunUntil(100 * sim.Microsecond)
 	got := sim.Rate(float64(c.BytesOf(ClassMApp)+c.BytesOf(ClassIIO)) / e.Now().Seconds())
 	if got.GBps() > c.Config().EffectiveBW.GBps()*1.001 {
@@ -118,13 +126,15 @@ func TestProportionalSharing(t *testing.T) {
 	e := sim.NewEngine(1)
 	c := NewController(e, testConfig())
 	c.MarkAll()
-	var runA, runB func()
-	runA = func() {
-		c.Submit(Request{Size: 2048, Class: ClassMApp, OnComplete: func(sim.Time) { runA() }})
+	var doneA, doneB sim.HandlerID
+	runA := func() {
+		c.Submit(Request{Size: 2048, Class: ClassMApp, CompleteCB: sim.Callback{ID: doneA}})
 	}
-	runB = func() {
-		c.Submit(Request{Size: 1024, Class: ClassIIO, OnComplete: func(sim.Time) { runB() }})
+	runB := func() {
+		c.Submit(Request{Size: 1024, Class: ClassIIO, CompleteCB: sim.Callback{ID: doneB}})
 	}
+	doneA = e.Handler(func(_, _ uint64) { runA() })
+	doneB = e.Handler(func(_, _ uint64) { runB() })
 	// A holds 4x2048, B holds 4x1024 outstanding.
 	for i := 0; i < 4; i++ {
 		runA()
@@ -188,14 +198,15 @@ func TestLatencyLowerBoundProperty(t *testing.T) {
 		e := sim.NewEngine(3)
 		c := NewController(e, testConfig())
 		ok := true
+		check := e.Handler(func(minLat, lat uint64) {
+			if lat < minLat {
+				ok = false
+			}
+		})
 		for _, s := range sizes {
 			size := int(s%8192) + 1
 			minLat := testConfig().EffectiveBW.TimeFor(size) + testConfig().BaseLatency
-			c.Submit(Request{Size: size, Class: ClassOther, OnComplete: func(l sim.Time) {
-				if l < minLat {
-					ok = false
-				}
-			}})
+			c.Submit(Request{Size: size, Class: ClassOther, CompleteCB: sim.Callback{ID: check, Arg0: uint64(minLat)}})
 		}
 		e.Run()
 		return ok

@@ -34,9 +34,6 @@ const (
 	// IIOInsertions (RINS) counts cachelines inserted into the IIO; the
 	// insertion rate times the cacheline size is PCIe bandwidth.
 	IIOInsertions Address = 0x0C01
-	// MBAThrottle selects the MBA throttle level for the MApp
-	// class-of-service (see internal/cpu; writes take ~22 µs).
-	MBAThrottle Address = 0x0D50
 )
 
 // FIIOHz is the IIO clock frequency (500 MHz on the paper's servers).
@@ -71,7 +68,11 @@ type ReadFault struct {
 type File struct {
 	e       *sim.Engine
 	readers map[Address]func() uint64
-	writers map[Address]writer
+
+	// readDoneH retires a read; reads parks each in-flight read's state
+	// under the slot key the event carries.
+	readDoneH sim.HandlerID
+	reads     sim.Slots[pendingRead]
 
 	// readFault, when set, is consulted on every Read (fault injection;
 	// see internal/faults). It must be deterministic given engine state.
@@ -84,19 +85,23 @@ type File struct {
 	StaleReads int64
 }
 
-type writer struct {
-	latency sim.Time
-	fn      func(uint64)
+// pendingRead is one in-flight read.
+type pendingRead struct {
+	addr  Address
+	fault ReadFault
+	lat   sim.Time
+	done  func(val uint64, lat sim.Time, err error)
 }
 
 // NewFile returns an empty register file.
 func NewFile(e *sim.Engine) *File {
-	return &File{
+	f := &File{
 		e:        e,
 		readers:  make(map[Address]func() uint64),
-		writers:  make(map[Address]writer),
 		lastRead: make(map[Address]uint64),
 	}
+	f.readDoneH = e.Handler(f.readDone)
+	return f
 }
 
 // SetReadFault installs the read-fault hook (nil removes it). The hook is
@@ -109,14 +114,6 @@ func (f *File) RegisterReader(addr Address, fn func() uint64) {
 		panic(fmt.Sprintf("msr: duplicate reader for %#x", uint32(addr)))
 	}
 	f.readers[addr] = fn
-}
-
-// RegisterWriter attaches a write handler with a given write latency.
-func (f *File) RegisterWriter(addr Address, latency sim.Time, fn func(uint64)) {
-	if _, dup := f.writers[addr]; dup {
-		panic(fmt.Sprintf("msr: duplicate writer for %#x", uint32(addr)))
-	}
-	f.writers[addr] = writer{latency: latency, fn: fn}
 }
 
 // readLatency draws one MSR read latency. The distribution is a base plus
@@ -137,8 +134,7 @@ func (f *File) readLatency() sim.Time {
 // failed read carries no value and callers must not fold val into any
 // signal state.
 func (f *File) Read(addr Address, done func(val uint64, lat sim.Time, err error)) {
-	fn, ok := f.readers[addr]
-	if !ok {
+	if _, ok := f.readers[addr]; !ok {
 		panic(fmt.Sprintf("msr: read of unregistered register %#x", uint32(addr)))
 	}
 	var fault ReadFault
@@ -146,35 +142,25 @@ func (f *File) Read(addr Address, done func(val uint64, lat sim.Time, err error)
 		fault = f.readFault(addr)
 	}
 	lat := f.readLatency() + fault.ExtraLatency
-	f.e.After(lat, func() {
-		switch {
-		case fault.Fail:
-			f.FailedReads++
-			done(0, lat, ErrReadFailed)
-		case fault.Stale:
-			f.StaleReads++
-			done(f.lastRead[addr], lat, nil)
-		default:
-			v := fn()
-			f.lastRead[addr] = v
-			done(v, lat, nil)
-		}
-	})
+	slot := f.reads.Put(pendingRead{addr: addr, fault: fault, lat: lat, done: done})
+	f.e.ScheduleAfter(lat, f.readDoneH, slot, 0)
 }
 
-// Write stores val to the register, invoking done (optional) when the
-// write retires. MBA writes take ~22 µs (§4.2); ordinary MSR writes <1 µs.
-func (f *File) Write(addr Address, val uint64, done func()) {
-	w, ok := f.writers[addr]
-	if !ok {
-		panic(fmt.Sprintf("msr: write to unregistered register %#x", uint32(addr)))
+// readDone retires the read parked at slot.
+func (f *File) readDone(slot, _ uint64) {
+	r := f.reads.Take(slot)
+	switch {
+	case r.fault.Fail:
+		f.FailedReads++
+		r.done(0, r.lat, ErrReadFailed)
+	case r.fault.Stale:
+		f.StaleReads++
+		r.done(f.lastRead[r.addr], r.lat, nil)
+	default:
+		v := f.readers[r.addr]()
+		f.lastRead[r.addr] = v
+		r.done(v, r.lat, nil)
 	}
-	f.e.After(w.latency, func() {
-		w.fn(val)
-		if done != nil {
-			done()
-		}
-	})
 }
 
 // ReadTSC returns the current timestamp counter as simulated time. The

@@ -13,7 +13,7 @@ func TestReadReturnsCounterValueAtRetire(t *testing.T) {
 	f.RegisterReader(IIOOccupancy, func() uint64 { return counter })
 	// Counter advances while the read is in flight; the read must observe
 	// the retire-time value.
-	e.At(100, func() { counter = 99 })
+	sim.NewTimer(e, func() { counter = 99 }).ResetAt(100)
 	var got uint64
 	var lat sim.Time
 	f.Read(IIOOccupancy, func(v uint64, l sim.Time, _ error) { got, lat = v, l })
@@ -56,26 +56,6 @@ func TestReadLatencyDistribution(t *testing.T) {
 	}
 }
 
-func TestWriteLatencyAndValue(t *testing.T) {
-	e := sim.NewEngine(1)
-	f := NewFile(e)
-	var applied uint64
-	var appliedAt sim.Time
-	f.RegisterWriter(MBAThrottle, 22*sim.Microsecond, func(v uint64) {
-		applied = v
-		appliedAt = e.Now()
-	})
-	doneAt := sim.Time(-1)
-	f.Write(MBAThrottle, 3, func() { doneAt = e.Now() })
-	e.Run()
-	if applied != 3 {
-		t.Fatalf("applied = %d", applied)
-	}
-	if appliedAt != 22*sim.Microsecond || doneAt != appliedAt {
-		t.Fatalf("applied at %v, done at %v, want 22us", appliedAt, doneAt)
-	}
-}
-
 func TestUnregisteredAccessPanics(t *testing.T) {
 	e := sim.NewEngine(1)
 	f := NewFile(e)
@@ -86,14 +66,6 @@ func TestUnregisteredAccessPanics(t *testing.T) {
 			}
 		}()
 		f.Read(Address(0xFFFF), func(uint64, sim.Time, error) {})
-	}()
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("write to unregistered register did not panic")
-			}
-		}()
-		f.Write(Address(0xFFFF), 0, nil)
 	}()
 	f.RegisterReader(IIOOccupancy, func() uint64 { return 0 })
 	func() {
@@ -109,11 +81,11 @@ func TestUnregisteredAccessPanics(t *testing.T) {
 func TestTSCAndHas(t *testing.T) {
 	e := sim.NewEngine(1)
 	f := NewFile(e)
-	e.At(12345, func() {
+	sim.NewTimer(e, func() {
 		if f.ReadTSC() != 12345 {
 			t.Errorf("TSC = %v", f.ReadTSC())
 		}
-	})
+	}).ResetAt(12345)
 	e.Run()
 	if f.Has(IIOOccupancy) {
 		t.Error("Has reported unregistered register")

@@ -103,6 +103,7 @@ type NIC struct {
 	rxXoff        bool
 	txPaused      bool
 	txPauseGen    uint64
+	txWatchdogH   sim.HandlerID
 	txPausedAt    sim.Time
 	txPausedTotal sim.Time
 	cnpLast       map[packet.FlowID]sim.Time
@@ -155,6 +156,7 @@ func New(e *sim.Engine, cfg Config, link *pcie.Link, mc *mem.Controller) *NIC {
 	}
 	n.txDoneH = e.Handler(n.txDone)
 	n.txReadDoneH = e.Handler(n.txReadDone)
+	n.txWatchdogH = e.Handler(n.txWatchdog)
 	return n
 }
 

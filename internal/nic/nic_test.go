@@ -12,19 +12,21 @@ import (
 // stubIIO releases credits after a configurable latency, emulating the
 // IIO+memory side of the PCIe link.
 type stubIIO struct {
-	e       *sim.Engine
-	link    *pcie.Link
-	latency sim.Time
-	tlps    []*pcie.TLP
+	e        *sim.Engine
+	link     *pcie.Link
+	latency  sim.Time
+	tlps     []*pcie.TLP
+	releaseH sim.HandlerID // arg0 is the lines to release
 }
 
 func (s *stubIIO) onTLP(t *pcie.TLP) {
 	s.tlps = append(s.tlps, t)
-	s.e.After(s.latency, func() { s.link.ReleaseCredits(t.Lines) })
+	s.e.ScheduleAfter(s.latency, s.releaseH, uint64(t.Lines), 0)
 }
 
 func newNICUnderTest(e *sim.Engine, cfg Config, creditLatency sim.Time) (*NIC, *stubIIO) {
 	s := &stubIIO{e: e, latency: creditLatency}
+	s.releaseH = e.Handler(func(lines, _ uint64) { s.link.ReleaseCredits(int(lines)) })
 	link := pcie.NewLink(e, pcie.DefaultConfig(), s.onTLP)
 	s.link = link
 	n := New(e, cfg, link, nil)

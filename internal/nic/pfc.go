@@ -78,18 +78,21 @@ func (n *NIC) SetTxPaused(on bool) {
 	if on {
 		n.txPausedAt = n.e.Now()
 		if to := n.cfg.PFC.ResumeTimeout; to > 0 {
-			gen := n.txPauseGen
-			n.e.After(to, func() {
-				if n.txPauseGen == gen && n.txPaused {
-					n.WatchdogReleases.Inc()
-					n.SetTxPaused(false)
-				}
-			})
+			n.e.ScheduleAfter(to, n.txWatchdogH, n.txPauseGen, 0)
 		}
 		return
 	}
 	n.txPausedTotal += n.e.Now() - n.txPausedAt
 	n.txPump()
+}
+
+// txWatchdog is the PFC watchdog's handler; arg0 is the pause generation
+// it was armed under, so a pause that has since ended is left alone.
+func (n *NIC) txWatchdog(gen, _ uint64) {
+	if n.txPauseGen == gen && n.txPaused {
+		n.WatchdogReleases.Inc()
+		n.SetTxPaused(false)
+	}
 }
 
 // setRxXoff transitions the rx-side pause state and notifies upstream.

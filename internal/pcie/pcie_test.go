@@ -121,6 +121,7 @@ func TestThroughputBoundedByLineRate(t *testing.T) {
 		l.ReleaseCredits(tlp.Lines) // instant replenish: best case
 	})
 	var feed func()
+	again := e.Handler(func(_, _ uint64) { feed() })
 	feed = func() {
 		if e.Now() > 1*sim.Millisecond {
 			return
@@ -131,7 +132,7 @@ func TestThroughputBoundedByLineRate(t *testing.T) {
 				return
 			}
 		}
-		e.After(0, feed)
+		e.ScheduleAfter(0, again, 0, 0)
 	}
 	feed()
 	e.RunUntil(1 * sim.Millisecond)

@@ -39,19 +39,6 @@ func BenchmarkEngineHeap(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineClosureShim measures the At/After compatibility path:
-// one closure event per iteration (costs the caller's closure allocation,
-// but no queue-side allocation).
-func BenchmarkEngineClosureShim(b *testing.B) {
-	e := NewEngine(1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.After(1, func() {})
-		e.Step()
-	}
-}
-
 // BenchmarkEngineTimerReset measures the Timer Reset/fire cycle used by
 // every transport retransmission and delayed-ACK timer.
 func BenchmarkEngineTimerReset(b *testing.B) {
@@ -78,7 +65,7 @@ func TestEngineZeroAllocPerEvent(t *testing.T) {
 		e.ScheduleAfter(1, h, arg0+1, 0)
 	})
 	e.ScheduleAfter(1, h, 0, 0)
-	// Warm the heap and closure tables.
+	// Warm the heap.
 	for i := 0; i < 1000; i++ {
 		e.Step()
 	}

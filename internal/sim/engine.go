@@ -9,10 +9,9 @@ import (
 // The zero value is reserved as "no handler", so a zero Callback is inert.
 type HandlerID uint32
 
-// Callback pairs a handler with its scalar arguments. Components whose
-// completion paths are allocation-sensitive (the memory controller, the
-// IIO) accept a Callback instead of a closure: scheduling one costs no
-// allocation, while a closure costs one per event.
+// Callback pairs a handler with its scalar arguments. Components that
+// notify a caller on completion (the memory controller, the IIO) accept a
+// Callback, so a notification costs no allocation.
 type Callback struct {
 	ID         HandlerID
 	Arg0, Arg1 uint64
@@ -116,12 +115,11 @@ func (h *eventHeap) siftDown(e event) {
 // goroutine; models therefore never need synchronization. The engine owns a
 // seeded RNG so that runs are deterministic and reproducible.
 //
-// The hot-path API is handler-based: register a handler once with Handler,
-// then Schedule/ScheduleAfter events carrying two scalar arguments — zero
-// allocations per event in steady state. The closure API (At/After) remains
-// as a compatibility shim for low-rate callers; each closure event parks
-// its func in a recycled slot table and costs only the closure allocation
-// the caller already made.
+// Scheduling is handler-based: register a handler once with Handler, then
+// Schedule/ScheduleAfter events carrying two scalar arguments — zero
+// allocations per event in steady state. Per-event state that does not fit
+// two scalars lives in a Slots table keyed by one of them; a one-off
+// callback is a Timer.
 type Engine struct {
 	now     Time
 	seq     uint64
@@ -132,13 +130,6 @@ type Engine struct {
 	stopped bool
 
 	handlers []func(arg0, arg1 uint64)
-
-	// Closure-shim slot table: At/After park their func here and schedule
-	// the trampoline handler with the slot index as arg0. Slots recycle
-	// through a free list, so sustained closure traffic does not grow it.
-	closureH    HandlerID
-	closures    []func()
-	closureFree []uint32
 
 	// Processed counts events executed so far; useful for perf accounting.
 	Processed uint64
@@ -184,7 +175,6 @@ func NewEngine(seed int64) *Engine {
 	src := &countingSource{src: rand.NewSource(seed).(rand.Source64)}
 	e := &Engine{seed: seed, src: src, rng: rand.New(src)}
 	e.q.ev = make([]event, 0, defaultHeapHint)
-	e.closureH = e.Handler(e.runClosure)
 	return e
 }
 
@@ -252,55 +242,22 @@ func (e *Engine) ScheduleAfter(d Time, id HandlerID, arg0, arg1 uint64) {
 	e.Schedule(e.now+d, id, arg0, arg1)
 }
 
-// Invoke schedules a Callback at absolute time t (no-op when unset).
+// Invoke schedules a Callback at absolute time t. An unset Callback
+// schedules nothing.
 func (e *Engine) Invoke(t Time, cb Callback) {
-	e.Schedule(t, cb.ID, cb.Arg0, cb.Arg1)
+	if cb.Set() {
+		e.Schedule(t, cb.ID, cb.Arg0, cb.Arg1)
+	}
 }
 
 // Dispatch invokes a handler synchronously, without scheduling an event.
 // Components use it to run a caller-supplied Callback from inside their
-// own event (e.g. a completion notification) exactly as they would have
-// called a closure.
+// own event (e.g. a completion notification).
 func (e *Engine) Dispatch(id HandlerID, arg0, arg1 uint64) {
 	if id == 0 || int(id) > len(e.handlers) {
 		panic(fmt.Sprintf("sim: Dispatch with unregistered handler %d", id))
 	}
 	e.handlers[id-1](arg0, arg1)
-}
-
-// At schedules fn to run at absolute time t (closure compatibility shim;
-// prefer Handler/Schedule on high-rate paths).
-func (e *Engine) At(t Time, fn func()) {
-	if fn == nil {
-		panic("sim: At with nil callback")
-	}
-	var slot uint32
-	if n := len(e.closureFree); n > 0 {
-		slot = e.closureFree[n-1]
-		e.closureFree = e.closureFree[:n-1]
-		e.closures[slot] = fn
-	} else {
-		slot = uint32(len(e.closures))
-		e.closures = append(e.closures, fn)
-	}
-	e.Schedule(t, e.closureH, uint64(slot), 0)
-}
-
-// runClosure is the trampoline handler behind the At/After shim.
-func (e *Engine) runClosure(slot, _ uint64) {
-	fn := e.closures[slot]
-	e.closures[slot] = nil // release the closure; the slot recycles
-	e.closureFree = append(e.closureFree, uint32(slot))
-	fn()
-}
-
-// After schedules fn to run d nanoseconds from now. Negative delays clamp
-// to zero (run "immediately after" the current event).
-func (e *Engine) After(d Time, fn func()) {
-	if d < 0 {
-		d = 0
-	}
-	e.At(e.now+d, fn)
 }
 
 // Pending reports how many events are queued.

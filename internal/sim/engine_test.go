@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -11,9 +12,9 @@ import (
 func TestEngineRunsEventsInOrder(t *testing.T) {
 	e := NewEngine(1)
 	var got []Time
+	h := e.Handler(func(_, _ uint64) { got = append(got, e.Now()) })
 	for _, d := range []Time{50, 10, 30, 10, 70} {
-		d := d
-		e.After(d, func() { got = append(got, e.Now()) })
+		e.ScheduleAfter(d, h, 0, 0)
 	}
 	e.Run()
 	want := []Time{10, 10, 30, 50, 70}
@@ -30,11 +31,14 @@ func TestEngineRunsEventsInOrder(t *testing.T) {
 func TestEngineFIFOAtSameInstant(t *testing.T) {
 	e := NewEngine(1)
 	var order []int
+	h := e.Handler(func(i, _ uint64) { order = append(order, int(i)) })
 	for i := 0; i < 10; i++ {
-		i := i
-		e.At(5, func() { order = append(order, i) })
+		e.Schedule(5, h, uint64(i), 0)
 	}
 	e.Run()
+	if len(order) != 10 {
+		t.Fatalf("ran %d events, want 10", len(order))
+	}
 	for i, v := range order {
 		if v != i {
 			t.Fatalf("same-instant events reordered: %v", order)
@@ -45,14 +49,14 @@ func TestEngineFIFOAtSameInstant(t *testing.T) {
 func TestEngineNestedScheduling(t *testing.T) {
 	e := NewEngine(1)
 	count := 0
-	var step func()
-	step = func() {
+	var step HandlerID
+	step = e.Handler(func(_, _ uint64) {
 		count++
 		if count < 5 {
-			e.After(10, step)
+			e.ScheduleAfter(10, step, 0, 0)
 		}
-	}
-	e.After(10, step)
+	})
+	e.ScheduleAfter(10, step, 0, 0)
 	e.Run()
 	if count != 5 {
 		t.Fatalf("count = %d, want 5", count)
@@ -64,21 +68,49 @@ func TestEngineNestedScheduling(t *testing.T) {
 
 func TestEngineSchedulingInPastPanics(t *testing.T) {
 	e := NewEngine(1)
-	e.After(100, func() {
+	noop := e.Handler(func(_, _ uint64) {})
+	ran := false
+	check := e.Handler(func(_, _ uint64) {
+		ran = true
 		defer func() {
 			if recover() == nil {
 				t.Error("scheduling in the past did not panic")
 			}
 		}()
-		e.At(50, func() {})
+		e.Schedule(50, noop, 0, 0)
 	})
+	e.Schedule(100, check, 0, 0)
 	e.Run()
+	if !ran {
+		t.Fatal("checking event never ran")
+	}
+}
+
+// A negative ScheduleAfter delay clamps to zero: the event runs at the
+// current instant, after the event that scheduled it.
+func TestEngineNegativeDelayClamps(t *testing.T) {
+	e := NewEngine(1)
+	var order []string
+	var at Time
+	late := e.Handler(func(_, _ uint64) { order = append(order, "clamped"); at = e.Now() })
+	first := e.Handler(func(_, _ uint64) {
+		e.ScheduleAfter(-5, late, 0, 0)
+		order = append(order, "scheduler")
+	})
+	e.Schedule(10, first, 0, 0)
+	e.Run()
+	if len(order) != 2 || order[0] != "scheduler" || order[1] != "clamped" {
+		t.Fatalf("order = %v, want [scheduler clamped]", order)
+	}
+	if at != 10 {
+		t.Fatalf("clamped event ran at %v, want 10", at)
+	}
 }
 
 func TestEngineRunUntilAdvancesClock(t *testing.T) {
 	e := NewEngine(1)
 	fired := false
-	e.At(100, func() { fired = true })
+	e.Schedule(100, e.Handler(func(_, _ uint64) { fired = true }), 0, 0)
 	e.RunUntil(50)
 	if fired {
 		t.Fatal("event at 100 fired before deadline 50")
@@ -95,8 +127,14 @@ func TestEngineRunUntilAdvancesClock(t *testing.T) {
 func TestEngineStop(t *testing.T) {
 	e := NewEngine(1)
 	n := 0
-	e.At(1, func() { n++; e.Stop() })
-	e.At(2, func() { n++ })
+	h := e.Handler(func(stop, _ uint64) {
+		n++
+		if stop != 0 {
+			e.Stop()
+		}
+	})
+	e.Schedule(1, h, 1, 0)
+	e.Schedule(2, h, 0, 0)
 	e.Run()
 	if n != 1 {
 		t.Fatalf("ran %d events after Stop, want 1", n)
@@ -111,14 +149,14 @@ func TestEngineDeterminism(t *testing.T) {
 	run := func(seed int64) []Time {
 		e := NewEngine(seed)
 		var ts []Time
-		var step func()
-		step = func() {
+		var step HandlerID
+		step = e.Handler(func(_, _ uint64) {
 			ts = append(ts, e.Now())
 			if len(ts) < 100 {
-				e.After(Time(e.Rand().Intn(1000)), step)
+				e.ScheduleAfter(Time(e.Rand().Intn(1000)), step, 0, 0)
 			}
-		}
-		e.After(0, step)
+		})
+		e.ScheduleAfter(0, step, 0, 0)
 		e.Run()
 		return ts
 	}
@@ -137,12 +175,13 @@ func TestEngineOrderingProperty(t *testing.T) {
 		e := NewEngine(7)
 		var seen []Time
 		var maxD Time
+		h := e.Handler(func(_, _ uint64) { seen = append(seen, e.Now()) })
 		for _, d := range delays {
 			d := Time(d)
 			if d > maxD {
 				maxD = d
 			}
-			e.After(d, func() { seen = append(seen, e.Now()) })
+			e.ScheduleAfter(d, h, 0, 0)
 		}
 		e.Run()
 		if !sort.SliceIsSorted(seen, func(i, j int) bool { return seen[i] < seen[j] }) {
@@ -160,7 +199,7 @@ func TestTimerResetSupersedes(t *testing.T) {
 	fires := 0
 	tm := NewTimer(e, func() { fires++ })
 	tm.Reset(100)
-	e.At(50, func() { tm.Reset(200) }) // push deadline out
+	NewTimer(e, func() { tm.Reset(200) }).ResetAt(50) // push deadline out
 	e.Run()
 	if fires != 1 {
 		t.Fatalf("timer fired %d times, want 1", fires)
@@ -178,11 +217,11 @@ func TestTimerStop(t *testing.T) {
 	if !tm.Pending() {
 		t.Fatal("timer not pending after Reset")
 	}
-	e.At(50, func() {
+	NewTimer(e, func() {
 		if !tm.Stop() {
 			t.Error("Stop reported no pending firing")
 		}
-	})
+	}).ResetAt(50)
 	e.Run()
 	if fires != 0 {
 		t.Fatalf("stopped timer fired %d times", fires)
@@ -196,7 +235,7 @@ func TestTickerTicksAtInterval(t *testing.T) {
 	e := NewEngine(1)
 	var ticks []Time
 	tk := NewTicker(e, 10, func() { ticks = append(ticks, e.Now()) })
-	e.At(35, func() { tk.Stop() })
+	NewTimer(e, tk.Stop).ResetAt(35)
 	e.Run()
 	want := []Time{10, 20, 30}
 	if len(ticks) != len(want) {
@@ -238,6 +277,8 @@ func TestTimeFormattingAndConversions(t *testing.T) {
 		{13200, "13.2us"},
 		{2 * Millisecond, "2ms"},
 		{3 * Second, "3s"},
+		{-13200, "-13.2us"},
+		{math.MinInt64, "-9.223e+09s"}, // -t overflows back to t
 	}
 	for _, c := range cases {
 		if got := c.t.String(); got != c.s {

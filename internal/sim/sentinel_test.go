@@ -11,8 +11,9 @@ import (
 func TestEngineSnapshotRoundTrip(t *testing.T) {
 	advance := func() *Engine {
 		e := NewEngine(42)
+		draw := e.Handler(func(_, _ uint64) { e.Rand().Float64() })
 		for i := 0; i < 10; i++ {
-			e.After(Time(i*10), func() { e.Rand().Float64() })
+			e.ScheduleAfter(Time(i*10), draw, 0, 0)
 		}
 		e.Run()
 		return e

@@ -29,7 +29,7 @@ func pingPongTrace(t *testing.T, delay Time, rounds int) []Time {
 			b01.Send(e.Now()+delay, a0+1, 0, nil)
 		}
 	})
-	g.Shard(0).At(0, func() { b01.Send(g.Shard(0).Now()+delay, 1, 0, nil) })
+	NewTimer(g.Shard(0), func() { b01.Send(g.Shard(0).Now()+delay, 1, 0, nil) }).ResetAt(0)
 	g.RunUntil(Time(rounds+2) * (delay + Millisecond))
 	return trace
 }
@@ -96,7 +96,7 @@ func TestShardTimerOnHorizon(t *testing.T) {
 	defer g.Close()
 	b := g.Connect(0, 1, delay, func(_, _ uint64, _ any) {})
 	// Window 1 covers (0, E+L] with E=0: horizon is exactly `delay`.
-	g.Shard(0).At(0, func() { b.Send(delay, 0, 0, nil) })
+	NewTimer(g.Shard(0), func() { b.Send(delay, 0, 0, nil) }).ResetAt(0)
 	fired := 0
 	var firedAt Time
 	tm := NewTimer(g.Shard(1), func() { fired++; firedAt = g.Shard(1).Now() })
@@ -165,7 +165,7 @@ func TestShardRunTwiceDeterministic(t *testing.T) {
 		for i := 0; i < 4; i++ {
 			e := g.Shard(i)
 			i := i
-			e.At(Time(i)*Microsecond, func() { bs[i].Send(e.Now()+bs[i].Delay(), 1, 0, nil) })
+			NewTimer(e, func() { bs[i].Send(e.Now()+bs[i].Delay(), 1, 0, nil) }).ResetAt(Time(i) * Microsecond)
 		}
 		g.RunUntil(2 * Millisecond)
 		return trace, order, g.Exchanged()

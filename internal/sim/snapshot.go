@@ -5,10 +5,10 @@ import "repro/internal/snapshot"
 // Snapshot encodes the engine's position and RNG state: clock, sequence
 // counter, processed-event count, pending-event count, stop flag, and the
 // RNG cursor (seed + number of draws, which pins the generator's state
-// without encoding it). The event queue holds closures, which have no
-// serializable form, so its length stands in for it: two runs whose
-// queues differ in size digest differently. Runs resume by replay — see
-// package snapshot.
+// without encoding it). Queued events name handlers whose IDs mean
+// nothing outside this engine, so the queue's length stands in for its
+// contents: two runs whose queues differ in size digest differently. Runs
+// resume by replay — see package snapshot.
 func (e *Engine) Snapshot(enc *snapshot.Encoder) {
 	enc.I64(int64(e.now))
 	enc.U64(e.seq)

@@ -11,6 +11,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"time"
 )
 
@@ -43,6 +44,8 @@ func (t Time) Duration() time.Duration { return time.Duration(t) }
 // String formats the time with an adaptive unit, e.g. "13.2us".
 func (t Time) String() string {
 	switch {
+	case t == math.MinInt64: // -t overflows back to t
+		return fmt.Sprintf("%.4gs", t.Seconds())
 	case t < 0:
 		return "-" + (-t).String()
 	case t < Microsecond:

@@ -13,7 +13,7 @@ func TestTimerCancelThenFireSameTick(t *testing.T) {
 	e := NewEngine(1)
 	fires := 0
 	tm := NewTimer(e, func() { fires++ })
-	e.At(100, func() { tm.Stop() })
+	NewTimer(e, func() { tm.Stop() }).ResetAt(100)
 	tm.Reset(100)
 	e.Run()
 	if fires != 0 {
@@ -31,10 +31,10 @@ func TestTimerCancelThenRearm(t *testing.T) {
 	var fired []Time
 	tm := NewTimer(e, func() { fired = append(fired, e.Now()) })
 	tm.Reset(100)
-	e.At(40, func() {
+	NewTimer(e, func() {
 		tm.Stop()
 		tm.Reset(100) // new deadline 140
-	})
+	}).ResetAt(40)
 	e.Run()
 	if len(fired) != 1 || fired[0] != 140 {
 		t.Fatalf("fired = %v, want [140]", fired)
@@ -75,10 +75,10 @@ func TestTimerZeroDelayFiresAfterCurrentEvent(t *testing.T) {
 	e := NewEngine(1)
 	var order []string
 	tm := NewTimer(e, func() { order = append(order, "timer") })
-	e.At(10, func() {
+	NewTimer(e, func() {
 		tm.Reset(0)
 		order = append(order, "event")
-	})
+	}).ResetAt(10)
 	e.Run()
 	if len(order) != 2 || order[0] != "event" || order[1] != "timer" {
 		t.Fatalf("order = %v, want [event timer]", order)

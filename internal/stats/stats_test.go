@@ -283,8 +283,8 @@ func TestRecorderSamplesProbes(t *testing.T) {
 	r := NewRecorder(e, 10)
 	v := 0.0
 	s := r.Track("v", func() float64 { return v })
-	e.At(15, func() { v = 7 })
-	e.At(45, func() { r.Stop() })
+	sim.NewTimer(e, func() { v = 7 }).ResetAt(15)
+	sim.NewTimer(e, r.Stop).ResetAt(45)
 	e.Run()
 	// Ticks at 10 (v=0), 20,30,40 (v=7).
 	if s.Len() != 4 {

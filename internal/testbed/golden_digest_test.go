@@ -1,10 +1,10 @@
 package testbed
 
 import (
-	"bufio"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -85,43 +85,165 @@ func TestGoldenDigestsMatchRecorded(t *testing.T) {
 		}
 		got.WriteString(formatGolden(res, goldenShards))
 	}
+	checkGolden(t, goldenDigestFile, got.String())
+}
 
+// checkGolden compares a digest recording against the golden file at
+// path, or rewrites the file when UPDATE_GOLDEN is set. A mismatch fails
+// the test with every differing row named (see goldenDiff), so the report
+// says which scenarios and components changed rather than dumping two
+// multi-KB blobs.
+func checkGolden(t *testing.T, path, got string) {
+	t.Helper()
 	if os.Getenv("UPDATE_GOLDEN") != "" {
-		if err := os.MkdirAll(filepath.Dir(goldenDigestFile), 0o755); err != nil {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(goldenDigestFile, []byte(got.String()), 0o644); err != nil {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("recorded golden digests for %d scenarios", len(ChaosScenarios()))
+		t.Logf("recorded %s", path)
 		return
 	}
-
-	want, err := os.ReadFile(goldenDigestFile)
+	want, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("no golden recording (%v); run with UPDATE_GOLDEN=1 to create", err)
 	}
-	if got.String() == string(want) {
+	if got == string(want) {
 		return
 	}
-	// Pinpoint the first differing line so the report names the scenario
-	// and component rather than dumping two multi-KB blobs.
-	gs := bufio.NewScanner(strings.NewReader(got.String()))
-	ws := bufio.NewScanner(strings.NewReader(string(want)))
-	line := 0
-	for {
-		gok, wok := gs.Scan(), ws.Scan()
-		line++
-		if !gok && !wok {
-			break
-		}
-		if gs.Text() != ws.Text() {
-			t.Fatalf("digest divergence at line %d:\n  recorded: %s\n  got:      %s",
-				line, ws.Text(), gs.Text())
-		}
-		if gok != wok {
-			t.Fatalf("digest recording length changed at line %d (recorded %v, got %v)", line, wok, gok)
+	diffs := goldenDiff(string(want), got)
+	if len(diffs) == 0 {
+		t.Fatal("digest recordings differ (whitespace only?)")
+	}
+	t.Fatalf("%d digest rows differ from %s:\n  %s", len(diffs), path, strings.Join(diffs, "\n  "))
+}
+
+// goldenRows is one scenario of a recording: its named digest rows in
+// recorded order.
+type goldenRows struct {
+	hash  map[string]string
+	order []string
+}
+
+func (g *goldenRows) add(name, hash string) {
+	g.hash[name] = hash
+	g.order = append(g.order, name)
+}
+
+// parseGolden splits a recording into scenarios. Each unindented header
+// line starts one, keyed by its fields minus frames= and combined=; those
+// two fields and every indented "component=hash" line are its rows.
+func parseGolden(rec string) (map[string]*goldenRows, []string) {
+	byKey := map[string]*goldenRows{}
+	var keys []string
+	start := func(key string) *goldenRows {
+		g := &goldenRows{hash: map[string]string{}}
+		byKey[key] = g
+		keys = append(keys, key)
+		return g
+	}
+	var cur *goldenRows
+	for _, line := range strings.Split(rec, "\n") {
+		switch {
+		case strings.TrimSpace(line) == "":
+		case strings.HasPrefix(line, " "):
+			if cur == nil {
+				cur = start("")
+			}
+			name, hash, _ := strings.Cut(strings.TrimSpace(line), "=")
+			cur.add(name, hash)
+		default:
+			var key []string
+			var rows [][2]string
+			for _, f := range strings.Fields(line) {
+				if name, v, _ := strings.Cut(f, "="); name == "frames" || name == "combined" {
+					rows = append(rows, [2]string{name, v})
+				} else {
+					key = append(key, f)
+				}
+			}
+			cur = start(strings.Join(key, " "))
+			for _, r := range rows {
+				cur.add(r[0], r[1])
+			}
 		}
 	}
-	t.Fatal("digest recordings differ (whitespace only?)")
+	return byKey, keys
+}
+
+// goldenDiff lists, one line each, every row of recording got that
+// differs from want: changed hashes (and frame counts), rows present in
+// only one recording, and whole scenarios added or missing.
+func goldenDiff(want, got string) []string {
+	w, wKeys := parseGolden(want)
+	g, gKeys := parseGolden(got)
+	var out []string
+	for _, key := range wKeys {
+		ws, gs := w[key], g[key]
+		if gs == nil {
+			out = append(out, fmt.Sprintf("%s: scenario missing", key))
+			continue
+		}
+		for _, name := range ws.order {
+			switch gh, ok := gs.hash[name]; {
+			case !ok:
+				out = append(out, fmt.Sprintf("%s: %s missing (recorded %s)", key, name, ws.hash[name]))
+			case gh != ws.hash[name]:
+				out = append(out, fmt.Sprintf("%s: %s recorded %s, got %s", key, name, ws.hash[name], gh))
+			}
+		}
+		for _, name := range gs.order {
+			if _, ok := ws.hash[name]; !ok {
+				out = append(out, fmt.Sprintf("%s: %s added (got %s)", key, name, gs.hash[name]))
+			}
+		}
+	}
+	for _, key := range gKeys {
+		if w[key] == nil {
+			out = append(out, fmt.Sprintf("%s: scenario added", key))
+		}
+	}
+	return out
+}
+
+// TestGoldenDiffNamesChangedComponents checks the golden report on
+// synthetic recordings: it must name exactly the rows that changed.
+func TestGoldenDiffNamesChangedComponents(t *testing.T) {
+	const base = `scenario=a seed=42 frames=3 combined=0x01
+  engine=0x10
+  receiver/nic=0x11
+scenario=a shards=4 seed=42 frames=3 combined=0x02
+  engine/s0=0x20
+`
+	for _, tc := range []struct {
+		name string
+		got  string
+		want []string
+	}{
+		{"identical", base, nil},
+		{"one component", strings.Replace(base, "receiver/nic=0x11", "receiver/nic=0x99", 1), []string{
+			"scenario=a seed=42: receiver/nic recorded 0x11, got 0x99",
+		}},
+		{"combined and frames", strings.Replace(base, "frames=3 combined=0x02", "frames=4 combined=0x03", 1), []string{
+			"scenario=a shards=4 seed=42: frames recorded 3, got 4",
+			"scenario=a shards=4 seed=42: combined recorded 0x02, got 0x03",
+		}},
+		{"component missing and added", strings.Replace(base, "  receiver/nic=0x11\n", "  receiver/iio=0x12\n", 1), []string{
+			"scenario=a seed=42: receiver/nic missing (recorded 0x11)",
+			"scenario=a seed=42: receiver/iio added (got 0x12)",
+		}},
+		{"scenario missing", base[:strings.Index(base, "scenario=a shards")], []string{
+			"scenario=a shards=4 seed=42: scenario missing",
+		}},
+		{"scenario added", base + "scenario=b seed=42 frames=1 combined=0x04\n  engine=0x40\n", []string{
+			"scenario=b seed=42: scenario added",
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if got := goldenDiff(base, tc.got); !reflect.DeepEqual(got, tc.want) {
+				t.Fatalf("goldenDiff =\n  %s\nwant\n  %s", strings.Join(got, "\n  "), strings.Join(tc.want, "\n  "))
+			}
+		})
+	}
 }

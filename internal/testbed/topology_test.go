@@ -1,9 +1,7 @@
 package testbed
 
 import (
-	"bufio"
 	"fmt"
-	"os"
 	"strings"
 	"testing"
 
@@ -238,39 +236,7 @@ func TestTopologyGoldenDigests(t *testing.T) {
 		}
 	}
 
-	if os.Getenv("UPDATE_GOLDEN") != "" {
-		if err := os.WriteFile(goldenTopologyFile, []byte(got.String()), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Log("recorded topology golden digests")
-		return
-	}
-
-	want, err := os.ReadFile(goldenTopologyFile)
-	if err != nil {
-		t.Fatalf("no golden recording (%v); run with UPDATE_GOLDEN=1 to create", err)
-	}
-	if got.String() == string(want) {
-		return
-	}
-	gs := bufio.NewScanner(strings.NewReader(got.String()))
-	ws := bufio.NewScanner(strings.NewReader(string(want)))
-	line := 0
-	for {
-		gok, wok := gs.Scan(), ws.Scan()
-		line++
-		if !gok && !wok {
-			break
-		}
-		if gs.Text() != ws.Text() {
-			t.Fatalf("digest divergence at line %d:\n  recorded: %s\n  got:      %s",
-				line, ws.Text(), gs.Text())
-		}
-		if gok != wok {
-			t.Fatalf("digest recording length changed at line %d", line)
-		}
-	}
-	t.Fatal("digest recordings differ (whitespace only?)")
+	checkGolden(t, goldenTopologyFile, got.String())
 }
 
 // TestStarTopologyIsDefault: an explicit star Topology must behave

@@ -59,18 +59,18 @@ func TestWraparoundRoundTripUnderRecycling(t *testing.T) {
 	l := NewPacketLog(e, capacity)
 
 	const total = 13
+	capture := e.Handler(func(i, _ uint64) {
+		p := pool.Get()
+		p.Flow = packet.FlowID{Src: 3, Dst: 4, SrcPort: 7, DstPort: 8}
+		p.Seq = i
+		p.Ack = i * 2
+		p.PayloadLen = 100 + int(i)
+		p.Flags = packet.FlagACK
+		l.Capture(p)
+		pool.Put(p)
+	})
 	for i := 0; i < total; i++ {
-		at := sim.Time(i * 10)
-		e.At(at, func() {
-			p := pool.Get()
-			p.Flow = packet.FlowID{Src: 3, Dst: 4, SrcPort: 7, DstPort: 8}
-			p.Seq = uint64(i)
-			p.Ack = uint64(i * 2)
-			p.PayloadLen = 100 + i
-			p.Flags = packet.FlagACK
-			l.Capture(p)
-			pool.Put(p)
-		})
+		e.Schedule(sim.Time(i*10), capture, uint64(i), 0)
 	}
 	e.Run()
 

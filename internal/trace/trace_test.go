@@ -22,8 +22,8 @@ func pkt(seq uint64, data int, ecn packet.ECN) *packet.Packet {
 func TestCaptureAndRecords(t *testing.T) {
 	e := sim.NewEngine(1)
 	l := NewPacketLog(e, 100)
-	e.At(10, func() { l.Capture(pkt(0, 1000, packet.ECT0)) })
-	e.At(20, func() { l.Capture(pkt(1000, 1000, packet.CE)) })
+	sim.NewTimer(e, func() { l.Capture(pkt(0, 1000, packet.ECT0)) }).ResetAt(10)
+	sim.NewTimer(e, func() { l.Capture(pkt(1000, 1000, packet.CE)) }).ResetAt(20)
 	e.Run()
 	recs := l.Records()
 	if len(recs) != 2 || l.Len() != 2 {
@@ -69,7 +69,7 @@ func TestRingOverwritesOldest(t *testing.T) {
 func TestSerializeRoundTrip(t *testing.T) {
 	e := sim.NewEngine(1)
 	l := NewPacketLog(e, 100)
-	e.At(5, func() {
+	sim.NewTimer(e, func() {
 		l.Capture(pkt(0, 4026, packet.ECT0))
 		ack := &packet.Packet{
 			Flow:  packet.FlowID{Src: 2, Dst: 1, SrcPort: 20, DstPort: 10},
@@ -78,7 +78,7 @@ func TestSerializeRoundTrip(t *testing.T) {
 			SACK:  []packet.SackBlock{{Lo: 8052, Hi: 12078}},
 		}
 		l.Capture(ack)
-	})
+	}).ResetAt(5)
 	e.Run()
 
 	var buf bytes.Buffer
@@ -115,11 +115,11 @@ func TestReadRejectsGarbage(t *testing.T) {
 func TestSummarize(t *testing.T) {
 	e := sim.NewEngine(1)
 	l := NewPacketLog(e, 10)
-	e.At(100, func() { l.Capture(pkt(0, 1000, packet.ECT0)) })
-	e.At(200, func() { l.Capture(pkt(1000, 1000, packet.CE)) })
-	e.At(300, func() {
+	sim.NewTimer(e, func() { l.Capture(pkt(0, 1000, packet.ECT0)) }).ResetAt(100)
+	sim.NewTimer(e, func() { l.Capture(pkt(1000, 1000, packet.CE)) }).ResetAt(200)
+	sim.NewTimer(e, func() {
 		l.Capture(&packet.Packet{Flow: packet.FlowID{Src: 2, Dst: 1}, Flags: packet.FlagACK, Ack: 2000})
-	})
+	}).ResetAt(300)
 	e.Run()
 	s := Summarize(l.Records())
 	if s.Packets != 3 || s.Data != 2 || s.Acks != 1 || s.CEMarked != 1 {

@@ -20,13 +20,7 @@ func (jp *jitterPipe) Transmit(p *packet.Packet) {
 		jp.tap(p)
 	}
 	d := jp.delay + sim.Time(jp.rng.Int63n(int64(jp.jitter)+1))
-	jp.e.After(d, func() {
-		dst, ok := jp.eps[p.Flow.Dst]
-		if !ok {
-			panic("jitterPipe: unknown destination")
-		}
-		dst.Receive(p)
-	})
+	jp.e.ScheduleAfter(d, jp.arriveH, jp.inflight.Put(p), 0)
 }
 
 // Property: arbitrary reordering never corrupts the byte stream — all

@@ -429,11 +429,12 @@ func TestCubicRecoversTowardWmax(t *testing.T) {
 	}
 	// Feed ACKs over simulated time; window should grow back toward Wmax.
 	seq := uint64(0)
+	ack := sim.NewTimer(e, func() {
+		seq += 10000
+		c.OnAck(AckEvent{Bytes: 10000, AckSeq: seq, SndNxt: seq + 10000})
+	})
 	for i := 0; i < 200; i++ {
-		e.After(5*sim.Millisecond, func() {
-			seq += 10000
-			c.OnAck(AckEvent{Bytes: 10000, AckSeq: seq, SndNxt: seq + 10000})
-		})
+		ack.Reset(5 * sim.Millisecond)
 		e.Run()
 	}
 	if c.Cwnd() <= after {

@@ -28,17 +28,23 @@ type pipe struct {
 	busyUntil sim.Time
 	qBytes    int
 
+	// arriveH delivers the in-flight packet parked at slot arg0.
+	arriveH  sim.HandlerID
+	inflight sim.Slots[*packet.Packet]
+
 	dropped int
 	marked  int
 }
 
 func newPipe(e *sim.Engine, delay sim.Time) *pipe {
-	return &pipe{
+	pp := &pipe{
 		e:     e,
 		delay: delay,
 		rng:   rand.New(rand.NewSource(99)),
 		eps:   make(map[packet.HostID]*Endpoint),
 	}
+	pp.arriveH = e.Handler(pp.arrive)
+	return pp
 }
 
 func (pp *pipe) attach(id packet.HostID, cfg Config) *Endpoint {
@@ -79,16 +85,21 @@ func (pp *pipe) Transmit(p *packet.Packet) {
 	} else {
 		txDone = pp.e.Now()
 	}
-	pp.e.At(txDone+pp.delay, func() {
-		if pp.rate > 0 {
-			pp.qBytes -= p.WireLen()
-		}
-		dst, ok := pp.eps[p.Flow.Dst]
-		if !ok {
-			panic("pipe: unknown destination")
-		}
-		dst.Receive(p)
-	})
+	pp.e.Schedule(txDone+pp.delay, pp.arriveH, pp.inflight.Put(p), 1)
+}
+
+// arrive delivers the packet parked at slot; queued (arg1) says whether
+// it passed through the rate-limited queue.
+func (pp *pipe) arrive(slot, queued uint64) {
+	p := pp.inflight.Take(slot)
+	if queued != 0 && pp.rate > 0 {
+		pp.qBytes -= p.WireLen()
+	}
+	dst, ok := pp.eps[p.Flow.Dst]
+	if !ok {
+		panic("pipe: unknown destination")
+	}
+	dst.Receive(p)
 }
 
 // testCfg returns a config tuned for fast unit tests: short RTO so loss
