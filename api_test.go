@@ -3,6 +3,7 @@ package hostcc
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -57,6 +58,8 @@ func TestBadInputsReturnErrors(t *testing.T) {
 			Injections: []FaultInjection{FaultPeriodic(FaultPCIeStall, Millisecond, Microsecond, 1<<62, 3)}}))},
 		{"fault plan whose one-shot window overflows the clock", newErr(WithFaultPlan(&FaultPlan{
 			Injections: []FaultInjection{FaultOneShot(FaultLinkFlap, 1<<62, 1<<62)}}))},
+		{"MinRTO whose deadline overflows the clock", newErr(WithMinRTO(math.MaxInt64))},
+		{"warmup plus measure overflows the clock", newErr(WithWarmup(math.MaxInt64), WithMeasure(time.Millisecond))},
 		{"chaos with negative fault duration", chaosErr(ChaosConfig{Scenario: "link-flap", FaultFor: -1})},
 		{"chaos with negative fault start", chaosErr(ChaosConfig{Scenario: "link-flap", FaultAt: -1})},
 		{"lossless with negative RPC size", losslessErr(LosslessStudyConfig{RPCSize: -1})},

@@ -56,6 +56,29 @@ func BenchmarkEngineTimerReset(b *testing.B) {
 	}
 }
 
+// BenchmarkEngineTimerRearm measures the transport's RTO shape: a
+// standing set of timers, each pushed to a later deadline before it can
+// fire, as every ACK re-arms its flow's RTO. One op is one ACK; the
+// "pending" metric is the queued events the shape keeps standing.
+func BenchmarkEngineTimerRearm(b *testing.B) {
+	e := NewEngine(1)
+	const timers, rto = 64, 1000
+	ts := make([]*Timer, timers)
+	for i := range ts {
+		ts[i] = NewTimer(e, func() { b.Fatal("a re-armed timer fired") })
+	}
+	var ack HandlerID
+	ack = e.Handler(func(i, _ uint64) {
+		ts[i%timers].Reset(rto)
+		e.ScheduleAfter(1, ack, i+1, 0)
+	})
+	e.ScheduleAfter(1, ack, 0, 0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	e.RunUntil(Time(b.N))
+	b.ReportMetric(float64(e.Pending()), "pending")
+}
+
 // TestEngineZeroAllocPerEvent is the regression guard behind the
 // benchmarks: the Schedule/Step cycle must not allocate in steady state.
 func TestEngineZeroAllocPerEvent(t *testing.T) {
@@ -74,20 +97,37 @@ func TestEngineZeroAllocPerEvent(t *testing.T) {
 	}
 }
 
-// TestTimerZeroAllocSteadyState guards the Timer Reset/fire cycle.
+// TestTimerZeroAllocSteadyState guards the Timer Reset/fire cycle, and
+// the early-wake re-queue of a timer re-armed later on every event
+// before it can fire (the transport's RTO on every ACK).
 func TestTimerZeroAllocSteadyState(t *testing.T) {
 	e := NewEngine(1)
 	tm := NewTimer(e, func() {})
-	for i := 0; i < 100; i++ {
+	fire := func() {
 		tm.Reset(1)
 		e.Step()
 	}
-	allocs := testing.AllocsPerRun(1000, func() {
-		tm.Reset(1)
-		e.Step()
+
+	late := NewEngine(1)
+	rto := NewTimer(late, func() { t.Fatal("re-armed timer fired") })
+	var ack HandlerID
+	ack = late.Handler(func(_, _ uint64) {
+		rto.Reset(2)
+		late.ScheduleAfter(1, ack, 0, 0)
 	})
-	if allocs != 0 {
-		t.Fatalf("Timer Reset/fire allocates %.1f per cycle; want 0", allocs)
+	late.ScheduleAfter(1, ack, 0, 0)
+	rearm := func() { late.Step() }
+
+	for name, cycle := range map[string]func(){"fire": fire, "rearm-later": rearm} {
+		for i := 0; i < 100; i++ {
+			cycle()
+		}
+		if allocs := testing.AllocsPerRun(1000, cycle); allocs != 0 {
+			t.Fatalf("Timer %s cycle allocates %.1f per event; want 0", name, allocs)
+		}
+	}
+	if late.Pending() != 2 {
+		t.Fatalf("re-armed timer keeps %d events queued with the ACK; want 2", late.Pending())
 	}
 }
 

@@ -223,11 +223,23 @@ func (e *Engine) Schedule(t Time, id HandlerID, arg0, arg1 uint64) {
 	if id == 0 || int(id) > len(e.handlers) {
 		panic(fmt.Sprintf("sim: Schedule with unregistered handler %d", id))
 	}
+	e.push(t, e.reserve(), id, arg0, arg1)
+}
+
+// reserve takes the next event's sequence number. A Timer reserves one
+// on every re-arm, queued or not, so every seq is as if each re-arm had
+// scheduled an event.
+func (e *Engine) reserve() uint64 {
+	e.seq++
+	return e.seq
+}
+
+// push queues an event under the key (t, seq), seq taken from reserve.
+func (e *Engine) push(t Time, seq uint64, id HandlerID, arg0, arg1 uint64) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling at %v before now %v", t, e.now))
 	}
-	e.seq++
-	e.q.push(event{at: t, seq: e.seq, id: id, arg0: arg0, arg1: arg1})
+	e.q.push(event{at: t, seq: seq, id: id, arg0: arg0, arg1: arg1})
 	if n := len(e.q.ev); n > e.maxPending {
 		e.maxPending = n
 	}

@@ -4,14 +4,23 @@ package sim
 // time.Timer but driven by simulated time. It is the building block for
 // transport retransmission timers (RTO, TLP) and periodic samplers.
 //
+// A timer re-armed later (the RTO on every ACK) keeps one wake event
+// queued, yet fires at the (at, seq) place a fresh event per re-arm
+// would have had: Reset reserves that seq, and an early wake re-queues
+// under the reserved key.
+//
 // The zero value is not usable; create timers with NewTimer.
 type Timer struct {
 	e   *Engine
 	fn  func()
 	h   HandlerID
-	gen uint64 // incremented on Stop/Reset to invalidate in-flight events
+	gen uint64 // incremented on Stop/Reset; digested with the deadline
 	at  Time
+	seq uint64 // the key (at, seq) reserved by the last Reset
 	set bool
+	// wakeAt, wakeSeq key the queued wake event; wakeSeq is 0 if none is.
+	wakeAt  Time
+	wakeSeq uint64
 }
 
 // NewTimer returns an unarmed timer that will invoke fn when it fires.
@@ -26,15 +35,28 @@ func NewTimer(e *Engine, fn func()) *Timer {
 	return t
 }
 
-// fire is the timer's engine handler; arg0 carries the generation the
-// firing was scheduled under, so stale events from before a Reset/Stop
-// are recognized and dropped.
-func (t *Timer) fire(gen, _ uint64) {
-	if t.gen != gen || !t.set {
-		return // superseded by Reset or Stop
+// fire is the timer's engine handler; arg0 carries the seq the wake was
+// queued under. The current wake fires the timer if it is the deadline's
+// own key and otherwise re-queues under that key.
+func (t *Timer) fire(seq, _ uint64) {
+	if seq != t.wakeSeq {
+		return // superseded by a wake queued for an earlier deadline
 	}
-	t.set = false
-	t.fn()
+	t.wakeSeq = 0
+	switch {
+	case !t.set:
+	case seq != t.seq:
+		t.wake() // early: the deadline moved later since this was queued
+	default:
+		t.set = false
+		t.fn()
+	}
+}
+
+// wake queues the timer's event under its reserved key.
+func (t *Timer) wake() {
+	t.wakeAt, t.wakeSeq = t.at, t.seq
+	t.e.push(t.at, t.seq, t.h, t.seq, 0)
 }
 
 // Reset (re-)arms the timer to fire d from now, replacing any pending firing.
@@ -42,7 +64,10 @@ func (t *Timer) Reset(d Time) {
 	t.gen++
 	t.set = true
 	t.at = t.e.Now() + max(d, 0)
-	t.e.Schedule(t.at, t.h, t.gen, 0)
+	t.seq = t.e.reserve()
+	if t.wakeSeq == 0 || t.at < t.wakeAt {
+		t.wake()
+	}
 }
 
 // ResetAt arms the timer to fire at absolute time at.

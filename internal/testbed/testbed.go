@@ -7,6 +7,7 @@ package testbed
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/apps"
 	"repro/internal/core"
@@ -229,6 +230,12 @@ func (o Config) Validate() error {
 	if o.Warmup < 0 || o.Measure < 0 {
 		return fmt.Errorf("testbed: negative window (warmup %v, measure %v)", o.Warmup, o.Measure)
 	}
+	if o.Warmup > math.MaxInt64-o.Measure {
+		return fmt.Errorf("testbed: warmup %v + measure %v overflows the clock", o.Warmup, o.Measure)
+	}
+	if err := o.withDefaults().transportConfig().Validate(); err != nil {
+		return err
+	}
 	if o.Mode < core.ModeFull || o.Mode > core.ModeOff {
 		return fmt.Errorf("testbed: unknown hostCC mode %d", o.Mode)
 	}
@@ -365,40 +372,48 @@ type Testbed struct {
 // receivers hold IDs 1..R and the senders R+1, R+2, ...
 const receiverID packet.HostID = 1
 
+// transportConfig returns the transport configuration every host runs:
+// the MTU's defaults with the Config's congestion control and MinRTO.
+func (o Config) transportConfig() transport.Config {
+	tcfg := transport.DefaultConfig(o.MTU)
+	if o.CC != nil {
+		tcfg.CC = o.CC
+	} else if o.Lossless {
+		// DCQCN is the congestion control PFC fabrics deploy (RoCEv2):
+		// the switches still ECN-mark, the receiver NIC turns CE arrivals
+		// into CNPs, and the sender rate-paces on them.
+		tcfg.CC = transport.NewDCQCN()
+	}
+	if o.MinRTO > 0 {
+		tcfg.MinRTO = o.MinRTO
+		tcfg.InitialRTO = o.MinRTO
+	}
+	return tcfg
+}
+
 // eventHeapHint derives the Reserve pre-size from the experiment shape.
-// The pending-event population of a loaded run is bounded by: per flow,
-// the receive-window's worth of in-flight packets (each holds at most
-// one serializer or propagation event at a time, and each delivered
-// window generates up to as many ACKs in flight) plus the connection
-// timer set on both ends; per host, the bounded device pipeline (NIC,
-// PCIe, IIO, memory, MApp completions); a constant floor for the
-// harness (hostCC sampler, watchdog, chaos recorders, sentinel); and
-// the stale-timer population — sim.Timer cancellation is lazy (a Reset
-// leaves the superseded event in the heap until its old deadline), and
-// the transport re-arms its RTO timer on every ACK, so stale events
-// accumulate at the per-receiver packet rate for up to one RTO (or the
-// run length, whichever ends first). The pre-topology hint —
-// 4096*(1+Senders) — ignored Flows and the stale-timer term entirely:
-// it under-reserved both flow-heavy incast and long-RTO runs (regrowth
-// copies mid-run) while reserving megabytes that sender-heavy,
-// flow-light runs never touched.
+// A sim.Timer keeps one wake event queued, so the pending-event
+// population of a loaded run is bounded by what can be in flight at
+// once: per flow, one event per connection timer on both ends (RTO, TLP,
+// delayed ACK, pacing, and the CC's own); per host, the bounded device
+// pipeline (NIC, PCIe, IIO, memory, MApp completions); per directed link
+// (a host's two access links, every trunk), its packets in flight, each
+// holding one serialization-plus-propagation event — a bandwidth-delay
+// product of MTU-sized packets, plus as many ACKs; and a constant floor
+// for the harness (hostCC sampler, watchdog, chaos recorders, sentinel).
 //
 // Each shard sizes its own heap, counting only the hosts it owns
-// (hostShard maps a global host index to its shard), the flows with an
-// endpoint there, and the stale timers of its receivers. A flow's events
-// split between its two endpoint shards but are counted fully on both —
-// a bounded over-count that keeps the no-regrowth guarantee without
+// (hostShard maps a global host index to its shard) and the flows with
+// an endpoint there. A flow's events split between its two endpoint
+// shards but are counted fully on both, and so is every trunk — a
+// bounded over-count that keeps the no-regrowth guarantee without
 // modeling where each in-flight packet is. On one shard every host and
 // flow counts.
-func eventHeapHint(opts Config, tcfg transport.Config, shard int, hostShard func(int) int) int {
-	hosts, receivers := 0, 0
+func eventHeapHint(opts Config, shard int, hostShard func(int) int) int {
+	hosts := 0
 	for i := 0; i < opts.Receivers+opts.Senders; i++ {
-		if hostShard(i) != shard {
-			continue
-		}
-		hosts++
-		if i < opts.Receivers {
-			receivers++
+		if hostShard(i) == shard {
+			hosts++
 		}
 	}
 	flows := 0
@@ -410,18 +425,14 @@ func eventHeapHint(opts Config, tcfg transport.Config, shard int, hostShard func
 		}
 	}
 
-	winPkts := tcfg.RcvWnd/tcfg.MSS + 1
-	perFlow := 2*winPkts + 16
-
-	rate := opts.LinkRate
-	if rate == 0 {
-		rate = sim.Gbps(100)
+	link := fabric.DefaultLinkConfig()
+	if opts.LinkRate > 0 {
+		link.Rate = opts.LinkRate
 	}
-	staleWindow := min(tcfg.MinRTO, opts.Warmup+opts.Measure)
-	stalePkts := float64(rate) * staleWindow.Seconds() / float64(opts.MTU)
-	stale := receivers * int(stalePkts)
+	bdpPkts := int(float64(link.Rate)*link.Delay.Seconds()/float64(opts.MTU)) + 1
+	links := 2*hosts + trunkCount(opts.Topology)
 
-	return 2048 + 64*hosts + flows*perFlow + stale
+	return 64 + 64*hosts + 16*flows + links*2*bdpPkts
 }
 
 // receiverName is the telemetry prefix of receiver i ("receiver" for the
@@ -502,22 +513,10 @@ func New(opts Config) *Testbed {
 		tb.Tr = telemetry.NewTracer()
 	}
 
-	tcfg := transport.DefaultConfig(opts.MTU)
-	if opts.CC != nil {
-		tcfg.CC = opts.CC
-	} else if opts.Lossless {
-		// DCQCN is the congestion control PFC fabrics deploy (RoCEv2):
-		// the switches still ECN-mark, the receiver NIC turns CE arrivals
-		// into CNPs, and the sender rate-paces on them.
-		tcfg.CC = transport.NewDCQCN()
-	}
-	if opts.MinRTO > 0 {
-		tcfg.MinRTO = opts.MinRTO
-		tcfg.InitialRTO = opts.MinRTO
-	}
+	tcfg := opts.transportConfig()
 	// Pre-size each event heap so warm-up never pays a regrowth copy.
 	for s, e := range pl.Engines {
-		e.Reserve(eventHeapHint(opts, tcfg, s, hostShard))
+		e.Reserve(eventHeapHint(opts, s, hostShard))
 	}
 
 	mkHost := func(idx int, id packet.HostID) *host.Host {
