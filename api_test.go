@@ -60,6 +60,10 @@ func TestBadInputsReturnErrors(t *testing.T) {
 			Injections: []FaultInjection{FaultOneShot(FaultLinkFlap, 1<<62, 1<<62)}}))},
 		{"MinRTO whose deadline overflows the clock", newErr(WithMinRTO(math.MaxInt64))},
 		{"warmup plus measure overflows the clock", newErr(WithWarmup(math.MaxInt64), WithMeasure(time.Millisecond))},
+		{"NaN link rate", newErr(WithLinkRate(math.NaN()))},
+		{"infinite link rate", newErr(WithLinkRate(math.Inf(1)))},
+		{"sample interval whose first tick overflows the clock", newErr(WithSampleInterval(math.MaxInt64))},
+		{"more hosts than host IDs", newErr(WithSenders(65535))},
 		{"chaos with negative fault duration", chaosErr(ChaosConfig{Scenario: "link-flap", FaultFor: -1})},
 		{"chaos with negative fault start", chaosErr(ChaosConfig{Scenario: "link-flap", FaultAt: -1})},
 		{"lossless with negative RPC size", losslessErr(LosslessStudyConfig{RPCSize: -1})},
@@ -75,6 +79,19 @@ func TestBadInputsReturnErrors(t *testing.T) {
 				t.Fatal("accepted")
 			}
 		})
+	}
+}
+
+// TestExtremeLinkRateRuns covers a link rate Validate accepts whose
+// bandwidth-delay product once sized the event heap's pre-allocation at
+// terabytes: the pre-size is capped, and the run completes.
+func TestExtremeLinkRateRuns(t *testing.T) {
+	x, err := New(WithLinkRate(1e12), WithWarmup(200*time.Microsecond), WithMeasure(200*time.Microsecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res := x.Run(); res.ThroughputGbps <= 0 {
+		t.Fatalf("no throughput: %+v", res.Metrics)
 	}
 }
 

@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // BenchmarkEngineScheduleDispatch measures the allocation-free hot path:
 // one Schedule + one dispatched event per iteration, with the self-
@@ -20,22 +23,26 @@ func BenchmarkEngineScheduleDispatch(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineHeap measures heap push/pop with a realistic standing
-// population (hundreds of pending events), which is where heap arity and
-// memory layout matter.
+// BenchmarkEngineHeap measures heap push/pop under a standing population
+// of pending events, from about hostbound-3x's peak (164) to far deeper
+// than leafspine-128's (836 per shard), to show how the cost per pop
+// grows with queue depth.
 func BenchmarkEngineHeap(b *testing.B) {
-	e := NewEngine(1)
-	h := e.Handler(func(_, _ uint64) {})
-	const standing = 512
-	for i := 0; i < standing; i++ {
-		// Pseudo-random insertion times so the heap actually reorders.
-		e.Schedule(Time((i*2654435761)%100000), h, 0, 0)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.Schedule(e.Now()+Time((i*2654435761)%100000)+1, h, 0, 0)
-		e.Step()
+	for _, standing := range []int{128, 1024, 16384} {
+		b.Run(fmt.Sprintf("standing=%d", standing), func(b *testing.B) {
+			e := NewEngine(1)
+			h := e.Handler(func(_, _ uint64) {})
+			for i := 0; i < standing; i++ {
+				// Pseudo-random insertion times so the heap actually reorders.
+				e.Schedule(Time((i*2654435761)%100000), h, 0, 0)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e.Schedule(e.Now()+Time((i*2654435761)%100000)+1, h, 0, 0)
+				e.Step()
+			}
+		})
 	}
 }
 

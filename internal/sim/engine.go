@@ -2,6 +2,8 @@ package sim
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"math/rand"
 )
 
@@ -21,26 +23,44 @@ type Callback struct {
 func (cb Callback) Set() bool { return cb.ID != 0 }
 
 // event is one scheduled occurrence. It is all scalars — no closure, no
-// interface — so the heap is a flat []event that the GC never scans and
-// push/pop never allocate.
+// interface — so the queue is a flat []event that the GC never scans and
+// push/pop never allocate. next links the event into its bucket (or a
+// free slot into the free list) and sits in what would otherwise be
+// padding, so an event is still 40 bytes.
 type event struct {
 	at         Time
 	seq        uint64 // FIFO tie-break for events at the same instant
 	id         HandlerID
+	next       uint32 // slot index + 1 of the next event in the list; 0 ends it
 	arg0, arg1 uint64
 }
 
-// eventHeap is a hand-rolled 4-ary min-heap ordered by (at, seq). 4-ary
-// beats binary here: one fewer level per ~2x fan-out means fewer cache
-// lines touched per pop, and the hot comparison loop over four children
-// stays in one or two lines of the backing array. Because (at, seq) is a
-// total order (seq is unique), the pop sequence is identical to any other
-// min-heap's — heap shape cannot perturb simulation order.
+// eventHeap is a monotone radix heap over the 128-bit key (at, seq). A
+// queued key always lies above the key popped last, and waits in the
+// bucket named by the highest bit where the two differ: buckets 0-63 for
+// a seq bit under the same at, 64-127 for an at bit. Every key in a lower
+// bucket is smaller than every key in a higher one, so pop takes the
+// minimum of the lowest non-empty bucket, makes it the last key, and
+// re-links the bucket's other keys into strictly lower buckets; the keys
+// in higher buckets still differ from the new last key at the same bit. Because (at,
+// seq) is a total order (seq is unique), the pop sequence is the one any
+// min-heap would produce.
+//
+// Events live in one slot array: each bucket is a list threaded through
+// event.next, and freed slots are chained the same way for reuse, so
+// len(ev) is the peak population and cap(ev) the reserved capacity.
 type eventHeap struct {
-	ev []event
+	ev   []event
+	head [128]uint32 // first slot (index + 1) of each bucket; 0 when empty
+	mask [2]uint64   // bit b set while bucket b is non-empty
+	free uint32      // first free slot (index + 1); 0 when none
+	n    int
+	// lastAt, lastSeq is the key of the event popped last.
+	lastAt  Time
+	lastSeq uint64
 }
 
-func (h *eventHeap) len() int { return len(h.ev) }
+func (h *eventHeap) len() int { return h.n }
 
 func evLess(a, b *event) bool {
 	if a.at != b.at {
@@ -49,64 +69,84 @@ func evLess(a, b *event) bool {
 	return a.seq < b.seq
 }
 
+// bucket names the highest bit where e's key differs from the last key.
+func (h *eventHeap) bucket(e *event) int {
+	if x := uint64(e.at ^ h.lastAt); x != 0 {
+		return 63 + bits.Len64(x)
+	}
+	return bits.Len64(e.seq^h.lastSeq) - 1
+}
+
+// link threads slot i onto bucket b.
+func (h *eventHeap) link(i uint32, b int) {
+	h.ev[i-1].next = h.head[b]
+	h.head[b] = i
+	h.mask[b>>6] |= 1 << (b & 63)
+}
+
+// push queues e. A key at or below the last popped one would break the
+// bucket order and panics. The engine never asks for one: every event is
+// due no earlier than now and takes a fresh seq, or a Timer's reserved
+// key, which lies above the wake that re-queues it.
 func (h *eventHeap) push(e event) {
-	h.ev = append(h.ev, e)
-	ev := h.ev
-	i := len(ev) - 1
-	for i > 0 {
-		p := (i - 1) >> 2
-		if !evLess(&e, &ev[p]) {
-			break
-		}
-		ev[i] = ev[p]
-		i = p
+	if e.at < h.lastAt || e.at == h.lastAt && e.seq <= h.lastSeq {
+		panic(fmt.Sprintf("sim: queueing key (%v, %d) at or below the last popped (%v, %d)",
+			e.at, e.seq, h.lastAt, h.lastSeq))
 	}
-	ev[i] = e
+	i := h.free
+	if i != 0 {
+		h.free = h.ev[i-1].next
+		h.ev[i-1] = e
+	} else {
+		h.ev = append(h.ev, e)
+		i = uint32(len(h.ev))
+	}
+	h.link(i, h.bucket(&e))
+	h.n++
 }
 
-// pop removes and returns the minimum event. Unlike the old
-// container/heap implementation there is no per-pop boxed copy and no
-// zeroing write of the vacated slot: events hold no pointers, so the
-// shrunken tail needs no clearing for the GC's sake.
-func (h *eventHeap) pop() event {
-	ev := h.ev
-	root := ev[0]
-	n := len(ev) - 1
-	last := ev[n]
-	h.ev = ev[:n]
-	if n > 0 {
-		h.siftDown(last)
+// min returns the lowest non-empty bucket and the slot (index + 1) of its
+// smallest key, or slot 0 when the heap is empty. It only reads: a later
+// push may sort below an unpopped minimum, so the last key moves in pop
+// alone.
+func (h *eventHeap) min() (b int, m uint32) {
+	switch {
+	case h.mask[0] != 0:
+		b = bits.TrailingZeros64(h.mask[0])
+	case h.mask[1] != 0:
+		b = 64 + bits.TrailingZeros64(h.mask[1])
+	default:
+		return 0, 0
 	}
-	return root
+	m = h.head[b]
+	for i := h.ev[m-1].next; i != 0; i = h.ev[i-1].next {
+		if evLess(&h.ev[i-1], &h.ev[m-1]) {
+			m = i
+		}
+	}
+	return b, m
 }
 
-// siftDown places e starting at the root, moving smaller children up.
-func (h *eventHeap) siftDown(e event) {
-	ev := h.ev
-	n := len(ev)
-	i := 0
-	for {
-		c := i<<2 + 1
-		if c >= n {
-			break
+// pop removes slot m, the minimum of bucket b (from min), and makes its
+// key the last popped. It returns the freed slot, which holds the event
+// until the next push reuses it.
+func (h *eventHeap) pop(b int, m uint32) *event {
+	e := &h.ev[m-1]
+	h.lastAt, h.lastSeq = e.at, e.seq
+	i := h.head[b]
+	h.head[b] = 0
+	h.mask[b>>6] &^= 1 << (b & 63)
+	for i != 0 {
+		next := h.ev[i-1].next
+		if i != m {
+			h.link(i, h.bucket(&h.ev[i-1]))
 		}
-		m := c
-		end := c + 4
-		if end > n {
-			end = n
-		}
-		for j := c + 1; j < end; j++ {
-			if evLess(&ev[j], &ev[m]) {
-				m = j
-			}
-		}
-		if !evLess(&ev[m], &e) {
-			break
-		}
-		ev[i] = ev[m]
-		i = m
+		i = next
 	}
-	ev[i] = e
+	e.next = h.free
+	h.free = m
+	h.n--
+	return e
 }
 
 // Engine is a single-threaded discrete-event scheduler.
@@ -120,7 +160,12 @@ func (h *eventHeap) siftDown(e event) {
 // allocations per event in steady state. Per-event state that does not fit
 // two scalars lives in a Slots table keyed by one of them; a one-off
 // callback is a Timer.
+//
+// The padding before and after the fields keeps the hot words of the
+// shard engines NewShardGroup allocates back to back on cache lines of
+// their own, so two shard goroutines never write the same line.
 type Engine struct {
+	_       [64]byte
 	now     Time
 	seq     uint64
 	q       eventHeap
@@ -137,6 +182,7 @@ type Engine struct {
 	// maxPending is the high-water mark of the event queue — diagnostic
 	// only (Reserve sizing audits), deliberately excluded from Snapshot.
 	maxPending int
+	_          [64]byte
 }
 
 // countingSource wraps the standard seeded source and counts draws, making
@@ -178,9 +224,9 @@ func NewEngine(seed int64) *Engine {
 	return e
 }
 
-// Reserve pre-sizes the event heap's backing array for at least n pending
+// Reserve pre-sizes the event heap's slot array for at least n pending
 // events (a Config hint from the experiment harness), so warm-up never
-// pays heap regrowth copies. It never shrinks.
+// pays regrowth copies. It never shrinks.
 func (e *Engine) Reserve(n int) {
 	if n <= cap(e.q.ev) {
 		return
@@ -240,7 +286,7 @@ func (e *Engine) push(t Time, seq uint64, id HandlerID, arg0, arg1 uint64) {
 		panic(fmt.Sprintf("sim: scheduling at %v before now %v", t, e.now))
 	}
 	e.q.push(event{at: t, seq: seq, id: id, arg0: arg0, arg1: arg1})
-	if n := len(e.q.ev); n > e.maxPending {
+	if n := e.q.len(); n > e.maxPending {
 		e.maxPending = n
 	}
 }
@@ -279,17 +325,18 @@ func (e *Engine) Pending() int { return e.q.len() }
 // second return is false when the queue is empty. ShardGroup uses this
 // at barriers to bound the next conservative window.
 func (e *Engine) NextEventAt() (Time, bool) {
-	if e.q.len() == 0 {
+	_, m := e.q.min()
+	if m == 0 {
 		return 0, false
 	}
-	return e.q.ev[0].at, true
+	return e.q.ev[m-1].at, true
 }
 
 // MaxPending reports the high-water mark of the event queue over the
 // engine's lifetime (Reserve sizing audits).
 func (e *Engine) MaxPending() int { return e.maxPending }
 
-// HeapCap reports the event heap's backing capacity. Comparing it before
+// HeapCap reports the event heap's slot capacity. Comparing it before
 // and after a run detects regrowth — a Reserve hint that was too small —
 // with no hot-path cost.
 func (e *Engine) HeapCap() int { return cap(e.q.ev) }
@@ -298,11 +345,16 @@ func (e *Engine) HeapCap() int { return cap(e.q.ev) }
 func (e *Engine) Stop() { e.stopped = true }
 
 // Step executes the next event, if any, and reports whether one ran.
-func (e *Engine) Step() bool {
-	if e.q.len() == 0 {
+func (e *Engine) Step() bool { return e.stepBy(math.MaxInt64) }
+
+// stepBy executes the next event if it is due by deadline and reports
+// whether one ran. An event left queued leaves the heap untouched.
+func (e *Engine) stepBy(deadline Time) bool {
+	b, m := e.q.min()
+	if m == 0 || e.q.ev[m-1].at > deadline {
 		return false
 	}
-	ev := e.q.pop()
+	ev := e.q.pop(b, m) // read before the handler can push into its slot
 	if ev.at < e.now {
 		panic("sim: time went backwards")
 	}
@@ -323,11 +375,7 @@ func (e *Engine) Run() {
 // to the deadline (even if the queue still holds later events).
 func (e *Engine) RunUntil(deadline Time) {
 	e.stopped = false
-	for !e.stopped {
-		if e.q.len() == 0 || e.q.ev[0].at > deadline {
-			break
-		}
-		e.Step()
+	for !e.stopped && e.stepBy(deadline) {
 	}
 	if e.now < deadline {
 		e.now = deadline

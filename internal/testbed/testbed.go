@@ -184,6 +184,10 @@ func (o Config) Validate() error {
 	if o.Receivers < 0 {
 		return fmt.Errorf("testbed: negative Receivers %d", o.Receivers)
 	}
+	d := o.withDefaults()
+	if n := d.Receivers + d.Senders; n > math.MaxUint16 {
+		return fmt.Errorf("testbed: %d hosts exceed the %d host IDs", n, math.MaxUint16)
+	}
 	if err := o.Topology.Validate(); err != nil {
 		return err
 	}
@@ -193,8 +197,8 @@ func (o Config) Validate() error {
 	if o.Degree < 0 {
 		return fmt.Errorf("testbed: negative Degree %v", o.Degree)
 	}
-	if o.LinkRate < 0 {
-		return fmt.Errorf("testbed: negative LinkRate %v", o.LinkRate)
+	if !(o.LinkRate >= 0) || math.IsInf(float64(o.LinkRate), 1) {
+		return fmt.Errorf("testbed: LinkRate %v is not a finite non-negative rate", o.LinkRate)
 	}
 	if o.WireLossProb < 0 || o.WireLossProb > 1 {
 		return fmt.Errorf("testbed: WireLossProb %v outside [0,1]", o.WireLossProb)
@@ -230,10 +234,13 @@ func (o Config) Validate() error {
 	if o.Warmup < 0 || o.Measure < 0 {
 		return fmt.Errorf("testbed: negative window (warmup %v, measure %v)", o.Warmup, o.Measure)
 	}
-	if o.Warmup > math.MaxInt64-o.Measure {
-		return fmt.Errorf("testbed: warmup %v + measure %v overflows the clock", o.Warmup, o.Measure)
+	if d.Warmup > math.MaxInt64-d.Measure {
+		return fmt.Errorf("testbed: warmup %v + measure %v overflows the clock", d.Warmup, d.Measure)
 	}
-	if err := o.withDefaults().transportConfig().Validate(); err != nil {
+	if o.SampleInterval > math.MaxInt64-d.Warmup-d.Measure {
+		return fmt.Errorf("testbed: SampleInterval %v past warmup %v + measure %v overflows the clock", o.SampleInterval, d.Warmup, d.Measure)
+	}
+	if err := d.transportConfig().Validate(); err != nil {
 		return err
 	}
 	if o.Mode < core.ModeFull || o.Mode > core.ModeOff {
@@ -409,6 +416,10 @@ func (o Config) transportConfig() transport.Config {
 // bounded over-count that keeps the no-regrowth guarantee without
 // modeling where each in-flight packet is. On one shard every host and
 // flow counts.
+//
+// The hint is capped at maxEventHeapHint: it is only a pre-size, the
+// heap still grows on demand, and an extreme LinkRate's bandwidth-delay
+// product would otherwise ask for terabytes.
 func eventHeapHint(opts Config, shard int, hostShard func(int) int) int {
 	hosts := 0
 	for i := 0; i < opts.Receivers+opts.Senders; i++ {
@@ -429,11 +440,13 @@ func eventHeapHint(opts Config, shard int, hostShard func(int) int) int {
 	if opts.LinkRate > 0 {
 		link.Rate = opts.LinkRate
 	}
-	bdpPkts := int(float64(link.Rate)*link.Delay.Seconds()/float64(opts.MTU)) + 1
+	bdpPkts := int(min(float64(link.Rate)*link.Delay.Seconds()/float64(opts.MTU), maxEventHeapHint)) + 1
 	links := 2*hosts + trunkCount(opts.Topology)
 
-	return 64 + 64*hosts + 16*flows + links*2*bdpPkts
+	return min(64+64*hosts+16*flows+links*2*bdpPkts, maxEventHeapHint)
 }
+
+const maxEventHeapHint = 1 << 20
 
 // receiverName is the telemetry prefix of receiver i ("receiver" for the
 // primary, matching the single-receiver testbed's historical names).
