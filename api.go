@@ -126,7 +126,7 @@ func WithLossless(watchdog time.Duration) Option {
 
 // WithHostCongestion sets the degree of host congestion: MApp units
 // generating CPU-to-memory traffic at the receiver (default 0; the
-// paper's headline scenario uses 3).
+// paper's headline scenario uses 3; at most 64, i.e. 512 MApp cores).
 func WithHostCongestion(degree float64) Option {
 	return func(x *Experiment) { x.cfg.Degree = degree }
 }

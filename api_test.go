@@ -3,10 +3,13 @@ package hostcc
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/testbed"
 )
 
 // quick returns options for a fast smoke-scale run.
@@ -64,6 +67,12 @@ func TestBadInputsReturnErrors(t *testing.T) {
 		{"infinite link rate", newErr(WithLinkRate(math.Inf(1)))},
 		{"sample interval whose first tick overflows the clock", newErr(WithSampleInterval(math.MaxInt64))},
 		{"more hosts than host IDs", newErr(WithSenders(65535))},
+		{"infinite host congestion", newErr(WithHostCongestion(math.Inf(1)))},
+		{"host congestion past the bound", newErr(WithHostCongestion(testbed.MaxDegree + 1))},
+		{"NaN host congestion", newErr(WithHostCongestion(math.NaN()))},
+		{"negative target bandwidth", newErr(WithTargetBandwidth(-1))},
+		{"NaN occupancy threshold", newErr(WithOccupancyThreshold(math.NaN()))},
+		{"negative sample interval", newErr(WithSampleInterval(-1))},
 		{"chaos with negative fault duration", chaosErr(ChaosConfig{Scenario: "link-flap", FaultFor: -1})},
 		{"chaos with negative fault start", chaosErr(ChaosConfig{Scenario: "link-flap", FaultAt: -1})},
 		{"lossless with negative RPC size", losslessErr(LosslessStudyConfig{RPCSize: -1})},
@@ -82,16 +91,22 @@ func TestBadInputsReturnErrors(t *testing.T) {
 	}
 }
 
-// TestExtremeLinkRateRuns covers a link rate Validate accepts whose
-// bandwidth-delay product once sized the event heap's pre-allocation at
-// terabytes: the pre-size is capped, and the run completes.
+// TestExtremeLinkRateRuns covers link rates Validate accepts at either
+// extreme. A huge one's bandwidth-delay product once sized the event
+// heap's pre-allocation at terabytes: the pre-size is capped, and the
+// run carries traffic. A tiny one's serialization time once overflowed
+// the clock: it saturates, and the run completes.
 func TestExtremeLinkRateRuns(t *testing.T) {
-	x, err := New(WithLinkRate(1e12), WithWarmup(200*time.Microsecond), WithMeasure(200*time.Microsecond))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res := x.Run(); res.ThroughputGbps <= 0 {
-		t.Fatalf("no throughput: %+v", res.Metrics)
+	for _, gbps := range []float64{1e12, 1e-17} {
+		t.Run(fmt.Sprint(gbps), func(t *testing.T) {
+			x, err := New(WithLinkRate(gbps), WithWarmup(200*time.Microsecond), WithMeasure(200*time.Microsecond))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res := x.Run(); gbps > 1 && res.ThroughputGbps <= 0 {
+				t.Fatalf("no throughput: %+v", res.Metrics)
+			}
+		})
 	}
 }
 

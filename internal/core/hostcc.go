@@ -116,19 +116,19 @@ func (c Config) Validate() error {
 	if c.SampleInterval <= 0 {
 		return fmt.Errorf("core: SampleInterval %v must be positive (zero would busy-loop the event queue)", c.SampleInterval)
 	}
-	if c.IT <= 0 {
+	if !(c.IT > 0) {
 		return fmt.Errorf("core: IT %v must be positive", c.IT)
 	}
-	if c.BT <= 0 {
+	if !(c.BT > 0) {
 		return fmt.Errorf("core: BT %v must be positive", c.BT)
 	}
-	if c.WeightIS <= 0 || c.WeightIS > 1 {
+	if !(c.WeightIS > 0 && c.WeightIS <= 1) {
 		return fmt.Errorf("core: WeightIS %v outside (0,1]", c.WeightIS)
 	}
-	if c.WeightBS <= 0 || c.WeightBS > 1 {
+	if !(c.WeightBS > 0 && c.WeightBS <= 1) {
 		return fmt.Errorf("core: WeightBS %v outside (0,1]", c.WeightBS)
 	}
-	if c.PCIeOverhead < 1 {
+	if !(c.PCIeOverhead >= 1) {
 		return fmt.Errorf("core: PCIeOverhead %v below 1", c.PCIeOverhead)
 	}
 	if c.UseDelaySignal && c.DT <= 0 {
@@ -148,19 +148,19 @@ func (c Config) Sanitize() (Config, error) {
 	if c.SampleInterval <= 0 {
 		c.SampleInterval = d.SampleInterval
 	}
-	if c.IT <= 0 {
+	if !(c.IT > 0) {
 		c.IT = d.IT
 	}
-	if c.BT <= 0 {
+	if !(c.BT > 0) {
 		c.BT = d.BT
 	}
-	if c.WeightIS <= 0 || c.WeightIS > 1 {
+	if !(c.WeightIS > 0 && c.WeightIS <= 1) {
 		c.WeightIS = d.WeightIS
 	}
-	if c.WeightBS <= 0 || c.WeightBS > 1 {
+	if !(c.WeightBS > 0 && c.WeightBS <= 1) {
 		c.WeightBS = d.WeightBS
 	}
-	if c.PCIeOverhead < 1 {
+	if !(c.PCIeOverhead >= 1) {
 		c.PCIeOverhead = d.PCIeOverhead
 	}
 	if c.UseDelaySignal && c.DT <= 0 {

@@ -35,29 +35,58 @@ type event struct {
 	arg0, arg1 uint64
 }
 
-// eventHeap is a monotone radix heap over the 128-bit key (at, seq). A
-// queued key always lies above the key popped last, and waits in the
-// bucket named by the highest bit where the two differ: buckets 0-63 for
-// a seq bit under the same at, 64-127 for an at bit. Every key in a lower
-// bucket is smaller than every key in a higher one, so pop takes the
-// minimum of the lowest non-empty bucket, makes it the last key, and
-// re-links the bucket's other keys into strictly lower buckets; the keys
-// in higher buckets still differ from the new last key at the same bit. Because (at,
-// seq) is a total order (seq is unique), the pop sequence is the one any
-// min-heap would produce.
+// wheelSlots is the near tier's horizon in nanoseconds: a key due within
+// it of the last popped instant takes a wheel slot, a later one a radix
+// bucket. 90-95% of a packet run's pushes fall within 1,024 ns (PCIe,
+// IIO and DRAM stages); most of the rest fall between 4 and 16 µs, where
+// the 9 µs link propagation lies.
+const wheelSlots = 1024
+
+// eventHeap is a two-tier priority queue over the key (at, seq). Every
+// queued key lies above the key popped last, (lastAt, lastSeq).
 //
-// Events live in one slot array: each bucket is a list threaded through
-// event.next, and freed slots are chained the same way for reuse, so
-// len(ev) is the peak population and cap(ev) the reserved capacity.
+// The near tier is a timing wheel of one-nanosecond slots. A key with at
+// in [lastAt, lastAt+wheelSlots) waits in slot at mod wheelSlots, so a
+// slot holds a single instant, listed in seq order (a Timer's reserved
+// seq can be older than a queued fresh one). The earliest near key heads
+// the first non-empty slot at or after lastAt's, circularly. The range
+// holds as lastAt grows, because it only grows to a popped key, which no
+// queued key precedes.
+//
+// The far tier is a monotone radix heap with a last key of its own,
+// (farAt, farSeq), which only its own pops advance. A key waits in the
+// bucket named by the highest bit where it differs from that key:
+// buckets 0-63 for a seq bit under the same at, 64-127 for an at bit.
+// Every key in a lower bucket is smaller than every key in a higher one,
+// so a far pop takes the minimum of the lowest non-empty bucket and
+// re-links the bucket's other keys into strictly lower buckets; the keys
+// in higher buckets still differ from the new last key at the same bit.
+// farMin caches the tier's minimum; a far pop clears it and the next min
+// scans the lowest bucket for it, as the bucket stands after any pushes
+// in between.
+//
+// Pop takes the smaller of the two tiers' minima. Because (at, seq) is a
+// total order (seq is unique), the pop sequence is the one any min-heap
+// would produce.
+//
+// Events live in one slot array: each wheel slot and bucket is a list
+// threaded through event.next, and freed slots are chained the same way
+// for reuse, so len(ev) is the peak population and cap(ev) the reserved
+// capacity. The hot scalars come before the list heads.
 type eventHeap struct {
-	ev   []event
-	head [128]uint32 // first slot (index + 1) of each bucket; 0 when empty
-	mask [2]uint64   // bit b set while bucket b is non-empty
-	free uint32      // first free slot (index + 1); 0 when none
-	n    int
-	// lastAt, lastSeq is the key of the event popped last.
+	ev      []event
+	free    uint32 // first free slot (index + 1); 0 when none
+	farMin  uint32 // slot (index + 1) of the far tier's minimum; 0 when empty or not yet found
+	n       int
 	lastAt  Time
 	lastSeq uint64
+	farAt   Time
+	farSeq  uint64
+	wsum    uint64                  // bit w set while wmask[w] is non-zero
+	mask    [2]uint64               // bit b set while bucket b is non-empty
+	wmask   [wheelSlots / 64]uint64 // bit s set while wheel slot s is non-empty
+	head    [128]uint32             // first slot (index + 1) of each bucket; 0 when empty
+	wheel   [wheelSlots]uint32      // first slot (index + 1) of each instant; 0 when empty
 }
 
 func (h *eventHeap) len() int { return h.n }
@@ -69,12 +98,13 @@ func evLess(a, b *event) bool {
 	return a.seq < b.seq
 }
 
-// bucket names the highest bit where e's key differs from the last key.
+// bucket names the highest bit where e's key differs from the far
+// tier's last key.
 func (h *eventHeap) bucket(e *event) int {
-	if x := uint64(e.at ^ h.lastAt); x != 0 {
+	if x := uint64(e.at ^ h.farAt); x != 0 {
 		return 63 + bits.Len64(x)
 	}
-	return bits.Len64(e.seq^h.lastSeq) - 1
+	return bits.Len64(e.seq^h.farSeq) - 1
 }
 
 // link threads slot i onto bucket b.
@@ -84,8 +114,8 @@ func (h *eventHeap) link(i uint32, b int) {
 	h.mask[b>>6] |= 1 << (b & 63)
 }
 
-// push queues e. A key at or below the last popped one would break the
-// bucket order and panics. The engine never asks for one: every event is
+// push queues e. A key at or below the last popped one would break both
+// tiers' order and panics. The engine never asks for one: every event is
 // due no earlier than now and takes a fresh seq, or a Timer's reserved
 // key, which lies above the wake that re-queues it.
 func (h *eventHeap) push(e event) {
@@ -101,52 +131,110 @@ func (h *eventHeap) push(e event) {
 		h.ev = append(h.ev, e)
 		i = uint32(len(h.ev))
 	}
-	h.link(i, h.bucket(&e))
+	if e.at-h.lastAt < wheelSlots {
+		h.pushNear(i, int(e.at)&(wheelSlots-1), e.seq)
+	} else {
+		h.link(i, h.bucket(&e))
+		if h.farMin != 0 && evLess(&e, &h.ev[h.farMin-1]) {
+			h.farMin = i
+		}
+	}
 	h.n++
 }
 
-// min returns the lowest non-empty bucket and the slot (index + 1) of its
-// smallest key, or slot 0 when the heap is empty. It only reads: a later
-// push may sort below an unpopped minimum, so the last key moves in pop
-// alone.
-func (h *eventHeap) min() (b int, m uint32) {
-	switch {
-	case h.mask[0] != 0:
-		b = bits.TrailingZeros64(h.mask[0])
-	case h.mask[1] != 0:
-		b = 64 + bits.TrailingZeros64(h.mask[1])
-	default:
-		return 0, 0
+// pushNear inserts slot i into wheel slot s in seq order.
+func (h *eventHeap) pushNear(i uint32, s int, seq uint64) {
+	p := &h.wheel[s]
+	for *p != 0 && h.ev[*p-1].seq < seq {
+		p = &h.ev[*p-1].next
 	}
-	m = h.head[b]
-	for i := h.ev[m-1].next; i != 0; i = h.ev[i-1].next {
-		if evLess(&h.ev[i-1], &h.ev[m-1]) {
-			m = i
-		}
-	}
-	return b, m
+	h.ev[i-1].next = *p
+	*p = i
+	h.wmask[s>>6] |= 1 << (s & 63)
+	h.wsum |= 1 << (s >> 6)
 }
 
-// pop removes slot m, the minimum of bucket b (from min), and makes its
-// key the last popped. It returns the freed slot, which holds the event
-// until the next push reuses it.
-func (h *eventHeap) pop(b int, m uint32) *event {
-	e := &h.ev[m-1]
-	h.lastAt, h.lastSeq = e.at, e.seq
-	i := h.head[b]
-	h.head[b] = 0
-	h.mask[b>>6] &^= 1 << (b & 63)
-	for i != 0 {
-		next := h.ev[i-1].next
-		if i != m {
-			h.link(i, h.bucket(&h.ev[i-1]))
+// min returns the slot (index + 1) of the smallest queued key, or 0 when
+// the heap is empty. It moves no key, because a later push may sort below
+// an unpopped minimum; it only caches the far tier's minimum, which a far
+// pop leaves unknown.
+func (h *eventHeap) min() uint32 {
+	m := h.farMin
+	if m == 0 && h.mask != [2]uint64{} {
+		m = h.head[h.lowest()]
+		for i := h.ev[m-1].next; i != 0; i = h.ev[i-1].next {
+			if evLess(&h.ev[i-1], &h.ev[m-1]) {
+				m = i
+			}
 		}
-		i = next
+		h.farMin = m
 	}
+	if h.wsum != 0 {
+		if w := h.wheel[h.firstSlot()]; m == 0 || evLess(&h.ev[w-1], &h.ev[m-1]) {
+			m = w
+		}
+	}
+	return m
+}
+
+// firstSlot returns the first non-empty wheel slot at or after lastAt's,
+// circularly; the wheel must not be empty.
+func (h *eventHeap) firstSlot() int {
+	s := int(h.lastAt) & (wheelSlots - 1)
+	w := s >> 6
+	if m := h.wmask[w] >> (s & 63); m != 0 {
+		return s + bits.TrailingZeros64(m)
+	}
+	sum := h.wsum >> (w + 1) << (w + 1)
+	if sum == 0 {
+		sum = h.wsum // wrap past the last slot
+	}
+	w = bits.TrailingZeros64(sum)
+	return w<<6 + bits.TrailingZeros64(h.wmask[w])
+}
+
+// pop removes slot m, the minimum from min, and makes its key the last
+// popped. A far pop also makes it the far tier's last key and re-links
+// the rest of its bucket lower. pop returns the freed slot, which holds
+// the event until the next push reuses it.
+func (h *eventHeap) pop(m uint32) *event {
+	e := &h.ev[m-1]
+	if m == h.farMin {
+		h.farMin = 0
+		h.farAt, h.farSeq = e.at, e.seq
+		b := h.lowest()
+		i := h.head[b]
+		h.head[b] = 0
+		h.mask[b>>6] &^= 1 << (b & 63)
+		for i != 0 {
+			next := h.ev[i-1].next
+			if i != m {
+				h.link(i, h.bucket(&h.ev[i-1]))
+			}
+			i = next
+		}
+	} else if s := int(e.at) & (wheelSlots - 1); e.next != 0 {
+		h.wheel[s] = e.next
+	} else {
+		h.wheel[s] = 0
+		if h.wmask[s>>6] &^= 1 << (s & 63); h.wmask[s>>6] == 0 {
+			h.wsum &^= 1 << (s >> 6)
+		}
+	}
+	h.lastAt, h.lastSeq = e.at, e.seq
 	e.next = h.free
 	h.free = m
 	h.n--
 	return e
+}
+
+// lowest returns the lowest non-empty bucket; the far tier must not be
+// empty.
+func (h *eventHeap) lowest() int {
+	if h.mask[0] != 0 {
+		return bits.TrailingZeros64(h.mask[0])
+	}
+	return 64 + bits.TrailingZeros64(h.mask[1])
 }
 
 // Engine is a single-threaded discrete-event scheduler.
@@ -168,7 +256,6 @@ type Engine struct {
 	_       [64]byte
 	now     Time
 	seq     uint64
-	q       eventHeap
 	seed    int64
 	src     *countingSource
 	rng     *rand.Rand
@@ -182,7 +269,9 @@ type Engine struct {
 	// maxPending is the high-water mark of the event queue — diagnostic
 	// only (Reserve sizing audits), deliberately excluded from Snapshot.
 	maxPending int
-	_          [64]byte
+
+	q eventHeap // last: its hot words lead, its list heads trail
+	_ [64]byte
 }
 
 // countingSource wraps the standard seeded source and counts draws, making
@@ -325,7 +414,7 @@ func (e *Engine) Pending() int { return e.q.len() }
 // second return is false when the queue is empty. ShardGroup uses this
 // at barriers to bound the next conservative window.
 func (e *Engine) NextEventAt() (Time, bool) {
-	_, m := e.q.min()
+	m := e.q.min()
 	if m == 0 {
 		return 0, false
 	}
@@ -350,11 +439,11 @@ func (e *Engine) Step() bool { return e.stepBy(math.MaxInt64) }
 // stepBy executes the next event if it is due by deadline and reports
 // whether one ran. An event left queued leaves the heap untouched.
 func (e *Engine) stepBy(deadline Time) bool {
-	b, m := e.q.min()
+	m := e.q.min()
 	if m == 0 || e.q.ev[m-1].at > deadline {
 		return false
 	}
-	ev := e.q.pop(b, m) // read before the handler can push into its slot
+	ev := e.q.pop(m) // read before the handler can push into its slot
 	if ev.at < e.now {
 		panic("sim: time went backwards")
 	}

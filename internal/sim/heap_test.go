@@ -6,7 +6,7 @@ import (
 )
 
 // heap4 is the 4-ary min-heap the radix eventHeap replaced, kept as the
-// reference FuzzEventHeapOrder holds the radix heap to.
+// reference FuzzEventHeapOrder holds the two-tier heap to.
 type heap4 struct {
 	ev []event
 }
@@ -68,9 +68,9 @@ func (h *heap4) siftDown(e event) {
 
 // refEngine runs the engine loop over heap4. The embedded Engine still
 // takes every push, so Schedule and Timer run unchanged; sync moves what
-// they queued into heap4 before the loop looks at the queue. The radix
-// heap underneath never pops, so its last key stays zero and it accepts
-// every push.
+// they queued, from wheel slots and radix buckets alike, into heap4
+// before the loop looks at the queue. The eventHeap underneath never
+// pops, so its last keys stay zero and it accepts every push.
 type refEngine struct {
 	*Engine
 	h heap4
@@ -78,9 +78,14 @@ type refEngine struct {
 
 func (r *refEngine) sync() {
 	q := &r.Engine.q
-	for _, i := range q.head {
-		for ; i != 0; i = q.ev[i-1].next {
-			r.h.push(q.ev[i-1])
+	if q.n == 0 {
+		return
+	}
+	for _, lists := range [][]uint32{q.wheel[:], q.head[:]} {
+		for _, i := range lists {
+			for ; i != 0; i = q.ev[i-1].next {
+				r.h.push(q.ev[i-1])
+			}
 		}
 	}
 	r.Engine.q = eventHeap{ev: q.ev[:0]}
@@ -195,7 +200,18 @@ func (s *heapScript) op(op, arg byte) {
 	case 3:
 		s.timers[x%4].Reset(Time(arg) << (x / 4))
 	case 4:
-		s.timers[x%4].Stop()
+		if x < 4 {
+			s.timers[x].Stop()
+			break
+		}
+		// 1-1,100 ns after the last dispatched instant, clamped to now:
+		// across the wheel's edge at +1,023/+1,024 and, once RunUntil
+		// has moved the clock on, ahead of the wheel's base.
+		var last Time
+		if n := len(s.log); n > 0 {
+			last = s.log[n-1].at
+		}
+		s.schedule(max(now, last+1+Time(int(x-4)<<8|int(arg))%1100), 0)
 	case 5:
 		s.q.RunUntil(now + Time(arg)<<(x%16))
 	case 6: // peek, then schedule below the peeked minimum
@@ -212,13 +228,14 @@ func (s *heapScript) op(op, arg byte) {
 }
 
 // FuzzEventHeapOrder runs one script on an engine and on a refEngine,
-// the same engine loop over the 4-ary heap the radix heap replaced. Ops
+// the same engine loop over the 4-ary heap the event queue once was. Ops
 // schedule at nanosecond deltas (zero included, so same-instant ties),
-// far in the future, and across 2^k boundaries of the clock; re-arm and
-// stop timers; run to deadlines short of the earliest event; and peek the
-// earliest event, then schedule below it. Both must dispatch the same
-// events in the same order, hold the same number pending after every op
-// and every step of the final drain, and end on the same seq.
+// far in the future, across 2^k boundaries of the clock, and up to
+// 1,100 ns past the last dispatched instant, across the wheel's edge;
+// re-arm and stop timers; run to deadlines short of the earliest event;
+// and peek the earliest event, then schedule below it. Both must dispatch
+// the same events in the same order, hold the same number pending after
+// every op and every step of the final drain, and end on the same seq.
 func FuzzEventHeapOrder(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1024 {

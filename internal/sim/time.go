@@ -86,12 +86,17 @@ func (r Rate) GBps() float64 { return float64(r) / 1e9 }
 func (r Rate) BytesPerSec() float64 { return float64(r) }
 
 // TimeFor returns the time needed to move n bytes at rate r.
-// A non-positive rate yields an effectively infinite time.
+// A non-positive rate yields an effectively infinite time, 2^62 ns, and
+// so does any longer time, which a Time could not hold.
 func (r Rate) TimeFor(n int) Time {
+	const forever = Time(1) << 62
 	if r <= 0 {
-		return Time(1) << 62
+		return forever
 	}
 	ns := float64(n) / float64(r) * 1e9
+	if !(ns < float64(forever)) {
+		return forever
+	}
 	t := Time(ns)
 	if float64(t) < ns { // round up so serialization never undershoots
 		t++

@@ -36,7 +36,7 @@ type Config struct {
 	DDIO    bool
 	Flows   int     // NetApp-T flows
 	Senders int     // sending hosts (2 for incast)
-	Degree  float64 // degree of host congestion (MApp units at receivers)
+	Degree  float64 // degree of host congestion (MApp units at receivers), at most MaxDegree
 
 	// Topology selects the fabric shape (zero value = the paper's
 	// single-switch star). Leaf–spine and dumbbell fabrics add trunk
@@ -194,8 +194,8 @@ func (o Config) Validate() error {
 	if o.FaultTrunks && o.Topology.Switches() < 2 {
 		return fmt.Errorf("testbed: FaultTrunks requires a multi-switch Topology")
 	}
-	if o.Degree < 0 {
-		return fmt.Errorf("testbed: negative Degree %v", o.Degree)
+	if !(o.Degree >= 0 && o.Degree <= MaxDegree) {
+		return fmt.Errorf("testbed: Degree %v outside [0,%d]", o.Degree, MaxDegree)
 	}
 	if !(o.LinkRate >= 0) || math.IsInf(float64(o.LinkRate), 1) {
 		return fmt.Errorf("testbed: LinkRate %v is not a finite non-negative rate", o.LinkRate)
@@ -240,7 +240,13 @@ func (o Config) Validate() error {
 	if o.SampleInterval > math.MaxInt64-d.Warmup-d.Measure {
 		return fmt.Errorf("testbed: SampleInterval %v past warmup %v + measure %v overflows the clock", o.SampleInterval, d.Warmup, d.Measure)
 	}
+	if o.MBAWriteLatency < 0 || o.MBAWriteLatency > math.MaxInt64-d.Warmup-d.Measure {
+		return fmt.Errorf("testbed: MBAWriteLatency %v is negative or overflows the clock past warmup %v + measure %v", o.MBAWriteLatency, d.Warmup, d.Measure)
+	}
 	if err := d.transportConfig().Validate(); err != nil {
+		return err
+	}
+	if err := d.hostCCConfig().Validate(); err != nil {
 		return err
 	}
 	if o.Mode < core.ModeFull || o.Mode > core.ModeOff {
@@ -273,6 +279,12 @@ func (o Config) Validate() error {
 	}
 	return nil
 }
+
+// MaxDegree bounds Config.Degree: 8 MApp cores per unit, so 512 cores at
+// each receiver, far past the paper's 3x (24 cores). Each core keeps a
+// memory request in flight, so a degree of 1e7 exhausts memory before
+// the run starts.
+const MaxDegree = 64
 
 // DefaultConfig returns the baseline single-sender setup.
 func DefaultConfig() Config {
@@ -396,6 +408,35 @@ func (o Config) transportConfig() transport.Config {
 		tcfg.InitialRTO = o.MinRTO
 	}
 	return tcfg
+}
+
+// hostCCConfig returns the hostCC configuration every receiver runs: the
+// paper defaults with the Config's overrides, where zero keeps the
+// default. When hostCC is disabled the module still runs in ModeOff, so
+// every experiment measures I_S and B_S identically.
+func (o Config) hostCCConfig() core.Config {
+	ccfg := core.DefaultConfig(o.DDIO)
+	if o.IT != 0 {
+		ccfg.IT = o.IT
+	}
+	if o.BT != 0 {
+		ccfg.BT = o.BT
+	}
+	if o.SignalWeightIS != 0 {
+		ccfg.WeightIS = o.SignalWeightIS
+	}
+	if o.SampleInterval != 0 {
+		ccfg.SampleInterval = o.SampleInterval
+	}
+	ccfg.Mode = core.ModeOff
+	if o.HostCC {
+		ccfg.Mode = core.ModeFull
+		if o.Mode != core.ModeFull {
+			ccfg.Mode = o.Mode
+		}
+	}
+	ccfg.Watchdog = o.Watchdog
+	return ccfg
 }
 
 // eventHeapHint derives the Reserve pre-size from the experiment shape.
@@ -540,7 +581,7 @@ func New(opts Config) *Testbed {
 		if opts.LinkRate > 0 {
 			hcfg.NIC.LineRate = opts.LinkRate
 		}
-		if opts.MBAWriteLatency > 0 {
+		if opts.MBAWriteLatency != 0 {
 			hcfg.MBA.WriteLatency = opts.MBAWriteLatency
 		}
 		if opts.Lossless {
@@ -616,29 +657,8 @@ func New(opts Config) *Testbed {
 		}
 	}
 
-	// hostCC on every receiver. When disabled we still run the module in
-	// ModeOff so every experiment measures I_S and B_S identically.
-	ccfg := core.DefaultConfig(opts.DDIO)
-	if opts.IT > 0 {
-		ccfg.IT = opts.IT
-	}
-	if opts.BT > 0 {
-		ccfg.BT = opts.BT
-	}
-	if opts.SignalWeightIS > 0 {
-		ccfg.WeightIS = opts.SignalWeightIS
-	}
-	if opts.SampleInterval > 0 {
-		ccfg.SampleInterval = opts.SampleInterval
-	}
-	ccfg.Mode = core.ModeOff
-	if opts.HostCC {
-		ccfg.Mode = core.ModeFull
-		if opts.Mode != core.ModeFull {
-			ccfg.Mode = opts.Mode
-		}
-	}
-	ccfg.Watchdog = opts.Watchdog
+	// hostCC on every receiver.
+	ccfg := opts.hostCCConfig()
 	for i, r := range tb.Receivers {
 		hcc := core.New(pl.Engines[hostShard(i)], r.MSR, r.MBA, ccfg)
 		if tb.Tr != nil {

@@ -1,6 +1,7 @@
 package testbed
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/core"
@@ -358,6 +359,10 @@ func TestNewValidatesSerial(t *testing.T) {
 		{"fluid-rtt-window-overflow", func(o *Config) {
 			o.FluidBackground = &FluidBackground{Hosts: 2, Tick: sim.Nanosecond, RTT: 65536 * sim.Nanosecond}
 		}},
+		{"infinite-degree", func(o *Config) { o.Degree = math.Inf(1) }},
+		{"signal-weight-above-one", func(o *Config) { o.SignalWeightIS = 5 }},
+		{"negative-mba-write-latency", func(o *Config) { o.MBAWriteLatency = -1 }},
+		{"mba-write-latency-overflow", func(o *Config) { o.MBAWriteLatency = math.MaxInt64 }},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
