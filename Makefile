@@ -15,9 +15,10 @@
 #                   throughput) -> BENCH_baseline.json
 #   make bench-smoke
 #                   CI gate: every microbenchmark runs once, then the
-#                   zero-alloc guards (engine, ring, packet pool, two-host
-#                   datapath, telemetry, and the whole host-bound testbed
-#                   with 3x MApp and hostCC) must report 0 allocations
+#                   zero-alloc guards (engine, memory controller, ring,
+#                   packet pool, two-host datapath, telemetry, and the
+#                   whole host-bound testbed with 3x MApp and hostCC)
+#                   must report 0 allocations
 #   make api-compat build + vet the examples module against the public
 #                   API only (fails if an internal type leaks)
 #   make telemetry-overhead
@@ -190,7 +191,7 @@ bench:
 # never replaces the recorded baseline in BENCH_baseline.json.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkEngine|BenchmarkDatapath' -benchtime=1x 		-benchmem -count=1 -json ./internal/sim/ ./internal/host/ . > /tmp/bench_smoke.json
-	$(GO) test ./internal/sim/ ./internal/ring/ ./internal/packet/ ./internal/host/ ./internal/telemetry/ ./internal/testbed/ 		-run 'ZeroAlloc|NoAlloc' -count=1 -v | grep -E '^(=== RUN|--- |ok|FAIL)'
+	$(GO) test ./internal/sim/ ./internal/mem/ ./internal/ring/ ./internal/packet/ ./internal/host/ ./internal/telemetry/ ./internal/testbed/ 		-run 'ZeroAlloc|NoAlloc' -count=1 -v | grep -E '^(=== RUN|--- |ok|FAIL)'
 
 # API-compat gate: examples/ is a separate module that can only see the
 # repo's exported API, so building it fails the moment a public signature

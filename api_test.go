@@ -62,6 +62,12 @@ func TestBadInputsReturnErrors(t *testing.T) {
 		{"fault plan whose one-shot window overflows the clock", newErr(WithFaultPlan(&FaultPlan{
 			Injections: []FaultInjection{FaultOneShot(FaultLinkFlap, 1<<62, 1<<62)}}))},
 		{"MinRTO whose deadline overflows the clock", newErr(WithMinRTO(math.MaxInt64))},
+		{"negative MinRTO", newErr(WithMinRTO(-time.Millisecond))},
+		{"NaN wire loss", newErr(WithWireLoss(math.NaN()))},
+		{"fault plan with a NaN probability", newErr(WithFaultPlan(&FaultPlan{
+			Injections: []FaultInjection{FaultProbabilistic(FaultMSRFail, Millisecond, Millisecond, math.NaN())}}))},
+		{"fault plan with a NaN MApp burst", newErr(WithFaultPlan(&FaultPlan{
+			Injections: []FaultInjection{FaultOneShot(FaultMAppBurst, Millisecond, Millisecond).WithMagnitude(math.NaN())}}))},
 		{"warmup plus measure overflows the clock", newErr(WithWarmup(math.MaxInt64), WithMeasure(time.Millisecond))},
 		{"NaN link rate", newErr(WithLinkRate(math.NaN()))},
 		{"infinite link rate", newErr(WithLinkRate(math.Inf(1)))},

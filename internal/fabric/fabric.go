@@ -559,7 +559,7 @@ func (c LinkConfig) Validate() error {
 	if c.Delay < 0 {
 		return fmt.Errorf("fabric: negative link Delay %v", c.Delay)
 	}
-	if c.LossProb < 0 || c.LossProb > 1 {
+	if !(c.LossProb >= 0 && c.LossProb <= 1) { // NaN fails both
 		return fmt.Errorf("fabric: LossProb %v outside [0,1]", c.LossProb)
 	}
 	return nil

@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -70,6 +71,7 @@ func TestLinkConfigValidate(t *testing.T) {
 		{"negative-delay", LinkConfig{Rate: sim.Gbps(100), Delay: -1}, "Delay"},
 		{"loss-below", LinkConfig{Rate: sim.Gbps(100), LossProb: -0.1}, "LossProb"},
 		{"loss-above", LinkConfig{Rate: sim.Gbps(100), LossProb: 1.1}, "LossProb"},
+		{"loss-nan", LinkConfig{Rate: sim.Gbps(100), LossProb: math.NaN()}, "LossProb"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

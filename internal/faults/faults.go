@@ -161,10 +161,10 @@ func (p Plan) Validate() error {
 		if inj.Count < 0 {
 			return fmt.Errorf("faults: injection %d (%v): negative count %d", n, inj.Kind, inj.Count)
 		}
-		if inj.Prob < 0 || inj.Prob > 1 {
+		if !(inj.Prob >= 0 && inj.Prob <= 1) { // NaN fails both
 			return fmt.Errorf("faults: injection %d (%v): probability %v outside [0,1]", n, inj.Kind, inj.Prob)
 		}
-		if inj.Kind == MAppBurst && inj.Magnitude <= 1 {
+		if inj.Kind == MAppBurst && !(inj.Magnitude > 1) {
 			return fmt.Errorf("faults: injection %d: MAppBurst needs magnitude > 1", n)
 		}
 		switch inj.Kind {

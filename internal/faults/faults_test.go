@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/cpu"
@@ -23,6 +24,7 @@ func TestPlanValidate(t *testing.T) {
 		{"negative-at", Plan{Injections: []Injection{{Kind: MSRStale, At: -1}}}, false},
 		{"bad-kind", Plan{Injections: []Injection{{Kind: Kind(99)}}}, false},
 		{"bad-prob", Plan{Injections: []Injection{{Kind: NICDrop, Prob: 1.5}}}, false},
+		{"nan-prob", Plan{Injections: []Injection{Probabilistic(NICDrop, 0, sim.Millisecond, math.NaN())}}, false},
 		{"period-under-duration", Plan{Injections: []Injection{
 			{Kind: MSRStale, Duration: 10, Period: 5}}}, false},
 		{"window-kind-no-duration", Plan{Injections: []Injection{
@@ -33,6 +35,8 @@ func TestPlanValidate(t *testing.T) {
 			Periodic(PCIeStall, 0, sim.Millisecond, 2*sim.Millisecond, -3)}}, false},
 		{"burst-without-magnitude", Plan{Injections: []Injection{
 			OneShot(MAppBurst, 0, sim.Millisecond)}}, false},
+		{"burst-nan-magnitude", Plan{Injections: []Injection{
+			OneShot(MAppBurst, 0, sim.Millisecond).WithMagnitude(math.NaN())}}, false},
 		{"burst-with-magnitude", Plan{Injections: []Injection{
 			OneShot(MAppBurst, 0, sim.Millisecond).WithMagnitude(3)}}, true},
 		{"windowed-negative-duration", Plan{Injections: []Injection{

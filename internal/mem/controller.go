@@ -124,9 +124,18 @@ type Request struct {
 }
 
 // Controller is the shared memory controller.
+//
+// A completion that carries a callback is an engine event. One without
+// (most IIO writes, evictions, net-copies) only updates the accounting,
+// so it stays off the event queue: it waits in the ring under the key
+// (at, seq) its event would have had (sim.Lazy), and retire applies it
+// before any read or change of the state it touches (in-flight count,
+// meters, rate trackers) by an event or caller whose key lies above it.
 type Controller struct {
 	e   *sim.Engine
 	cfg Config
+
+	wqDrain sim.Time // service time of a full write queue
 
 	lastDep  sim.Time // analytic pipe state
 	inFlight int      // weighted hardware requests outstanding
@@ -139,6 +148,12 @@ type Controller struct {
 	// completion event without a closure per request.
 	completeH sim.HandlerID
 	comps     sim.Slots[completion]
+
+	// ring holds the callback-less completions in (at, seq) order from
+	// head, n of them; its length is a power of two.
+	ring []lazyCompletion
+	head int
+	n    int
 
 	// Submitted counts all requests, for sanity checks.
 	Submitted int64
@@ -154,6 +169,15 @@ type completion struct {
 	cb        sim.Callback
 }
 
+// lazyCompletion is a completion with no callback, due at key (at, seq).
+type lazyCompletion struct {
+	at     sim.Time
+	seq    uint64
+	size   int
+	weight int
+	class  Class
+}
+
 // NewController creates a memory controller on engine e.
 func NewController(e *sim.Engine, cfg Config) *Controller {
 	if cfg.EffectiveBW <= 0 || cfg.TheoreticalBW <= 0 {
@@ -162,21 +186,91 @@ func NewController(e *sim.Engine, cfg Config) *Controller {
 	if cfg.WriteQueueBytes <= 0 {
 		panic("mem: non-positive write queue")
 	}
-	c := &Controller{e: e, cfg: cfg}
+	c := &Controller{e: e, cfg: cfg, wqDrain: cfg.EffectiveBW.TimeFor(cfg.WriteQueueBytes)}
 	c.completeH = e.Handler(c.complete)
+	e.AddLazy(lazySource{c})
 	return c
 }
 
 // complete is the completion event handler; arg0 is the completion slot.
 func (c *Controller) complete(slot, _ uint64) {
+	c.retire()
 	comp := c.comps.Take(slot)
 	now := c.e.Now()
-	c.inFlight -= comp.weight
-	c.meters[comp.class].Add(int64(comp.size))
-	c.recent[comp.class].add(now, float64(comp.size))
-	if comp.cb.Set() {
-		c.e.Dispatch(comp.cb.ID, comp.cb.Arg0, uint64(now-comp.submitted))
+	c.account(now, comp.weight, comp.size, comp.class)
+	c.e.Dispatch(comp.cb.ID, comp.cb.Arg0, uint64(now-comp.submitted))
+}
+
+// account applies one completion at its instant.
+func (c *Controller) account(at sim.Time, weight, size int, class Class) {
+	c.inFlight -= weight
+	c.meters[class].Add(int64(size))
+	c.recent[class].add(at, float64(size))
+}
+
+// retire applies, in order, every ring completion whose key lies below
+// the engine's: those an eager run would already have completed.
+func (c *Controller) retire() { c.retireBelow(c.e.Key()) }
+
+// retireBelow applies, in order, every ring completion below (at, seq).
+func (c *Controller) retireBelow(at sim.Time, seq uint64) {
+	for c.n > 0 {
+		d := &c.ring[c.head]
+		if d.at > at || d.at == at && d.seq >= seq {
+			return
+		}
+		c.account(d.at, d.weight, d.size, d.class)
+		c.head = (c.head + 1) & (len(c.ring) - 1)
+		c.n--
 	}
+}
+
+// deferCompletion queues d in key order. d holds the newest seq, so it
+// sorts after every completion due no later than it: the walk back from
+// the tail passes only those due later, which the load-latency term
+// allows.
+func (c *Controller) deferCompletion(d lazyCompletion) {
+	if c.n == len(c.ring) {
+		c.growRing()
+	}
+	mask := len(c.ring) - 1
+	i := c.head + c.n
+	for ; i > c.head && d.at < c.ring[(i-1)&mask].at; i-- {
+		c.ring[i&mask] = c.ring[(i-1)&mask]
+	}
+	c.ring[i&mask] = d
+	c.n++
+}
+
+// growRing doubles the ring (to 4 entries at first), unrolled from head.
+func (c *Controller) growRing() {
+	grown := make([]lazyCompletion, max(4, 2*len(c.ring)))
+	for i := 0; i < c.n; i++ {
+		grown[i] = c.ring[(c.head+i)&(len(c.ring)-1)]
+	}
+	c.ring, c.head = grown, 0
+}
+
+// lazySource registers a controller's ring with its engine.
+type lazySource struct{ c *Controller }
+
+func (s lazySource) NextAt() (sim.Time, bool) {
+	c := s.c
+	c.retire()
+	if c.n == 0 {
+		return 0, false
+	}
+	return c.ring[c.head].at, true
+}
+
+func (s lazySource) Drain() (sim.Time, bool) {
+	c := s.c
+	if c.n == 0 {
+		return 0, false
+	}
+	last := c.ring[(c.head+c.n-1)&(len(c.ring)-1)].at
+	c.retireBelow(math.MaxInt64, math.MaxUint64)
+	return last, true
 }
 
 // Config returns the controller configuration.
@@ -199,6 +293,7 @@ func (c *Controller) Submit(req Request) {
 	if w <= 0 {
 		w = 1
 	}
+	c.retire()
 	now := c.e.Now()
 	c.Submitted++
 	c.inFlight += w
@@ -212,11 +307,18 @@ func (c *Controller) Submit(req Request) {
 
 	// Admission: when the backlog ahead has drained below the write
 	// queue bound. A request that fits immediately is admitted now.
-	admit := max(now, dep-c.cfg.EffectiveBW.TimeFor(c.cfg.WriteQueueBytes)) +
-		sim.Time(c.cfg.WriteLoadFactor*float64(c.loadLatency()))
+	load := c.loadLatency()
+	admit := max(now, dep-c.wqDrain) + sim.Time(c.cfg.WriteLoadFactor*float64(load))
 	c.e.Invoke(admit, req.AdmitCB)
 
-	complete := dep + c.cfg.BaseLatency + c.loadLatency()
+	complete := dep + c.cfg.BaseLatency + load
+	if !req.CompleteCB.Set() {
+		if complete < now {
+			panic(fmt.Sprintf("mem: completion at %v before now %v", complete, now))
+		}
+		c.deferCompletion(lazyCompletion{at: complete, seq: c.e.ReserveSeq(), size: req.Size, weight: w, class: req.Class})
+		return
+	}
 	slot := c.comps.Put(completion{
 		weight:    w,
 		size:      req.Size,
@@ -243,9 +345,23 @@ func (rt *rateTracker) add(now sim.Time, bytes float64) {
 	rt.last = now
 }
 
+// decayFactor holds decay's factor for every gap under 1,024 ns, which
+// covers 99% of gaps; it is filled once with decay's own expression, so
+// a lookup returns the very bits the call would.
+var decayFactor = func() (f [1024]float64) {
+	for dt := range f {
+		f[dt] = math.Exp(-float64(dt) / float64(rateTrackerTau))
+	}
+	return f
+}()
+
 func (rt *rateTracker) decay(now sim.Time) {
 	if dt := now - rt.last; dt > 0 {
-		rt.rate *= math.Exp(-float64(dt) / float64(rateTrackerTau))
+		if dt < sim.Time(len(decayFactor)) {
+			rt.rate *= decayFactor[dt]
+		} else {
+			rt.rate *= math.Exp(-float64(dt) / float64(rateTrackerTau))
+		}
 		rt.last = now
 	}
 }
@@ -253,6 +369,7 @@ func (rt *rateTracker) decay(now sim.Time) {
 // RecentRate returns the exponentially decayed recent bandwidth of a
 // class (no measurement window required).
 func (c *Controller) RecentRate(class Class) sim.Rate {
+	c.retire()
 	rt := &c.recent[class]
 	rt.decay(c.e.Now())
 	return sim.Rate(rt.rate)
@@ -283,17 +400,22 @@ func (c *Controller) BacklogBytes() float64 {
 }
 
 // InFlight returns the number of submitted-but-incomplete requests.
-func (c *Controller) InFlight() int { return c.inFlight }
+func (c *Controller) InFlight() int {
+	c.retire()
+	return c.inFlight
+}
 
 // EstimateLatency predicts the completion latency a request of the given
 // size would see if submitted now (queue wait + service + base + load).
 func (c *Controller) EstimateLatency(size int) sim.Time {
+	c.retire()
 	return c.QueueDelay() + c.cfg.EffectiveBW.TimeFor(size) + c.cfg.BaseLatency + c.loadLatency()
 }
 
 // MarkAll snapshots every class meter at time t (start of a measurement
 // window).
 func (c *Controller) MarkAll() {
+	c.retire()
 	for i := range c.meters {
 		c.meters[i].Mark(c.e.Now())
 	}
@@ -301,6 +423,7 @@ func (c *Controller) MarkAll() {
 
 // RateOf returns the average bandwidth of a class since its last mark.
 func (c *Controller) RateOf(class Class) sim.Rate {
+	c.retire()
 	return c.meters[class].RateSinceMark(c.e.Now())
 }
 
@@ -322,6 +445,7 @@ func (c *Controller) TotalUtilization() float64 {
 
 // BytesOf returns the total bytes moved for a class since the last mark.
 func (c *Controller) BytesOf(class Class) int64 {
+	c.retire()
 	return c.meters[class].BytesSinceMark()
 }
 
@@ -332,7 +456,10 @@ func (c *Controller) RegisterInstruments(reg *telemetry.Registry, prefix string)
 		cl := cl
 		reg.Counter(prefix+"/mem/bytes/"+cl.String(), "bytes",
 			"bytes moved for the "+cl.String()+" class",
-			func() float64 { return float64(c.meters[cl].Total()) })
+			func() float64 {
+				c.retire()
+				return float64(c.meters[cl].Total())
+			})
 	}
 	reg.Gauge(prefix+"/mem/queue-delay", "ns", "current queueing delay at the controller",
 		func() float64 { return float64(c.QueueDelay()) })

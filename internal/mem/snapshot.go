@@ -4,6 +4,7 @@ import "repro/internal/snapshot"
 
 // Snapshot encodes the analytic pipe state and per-class accounting.
 func (c *Controller) Snapshot(e *snapshot.Encoder) {
+	c.retire()
 	e.I64(int64(c.lastDep))
 	e.Int(c.inFlight)
 	e.I64(c.Submitted)

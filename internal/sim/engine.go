@@ -261,7 +261,12 @@ type Engine struct {
 	rng     *rand.Rand
 	stopped bool
 
+	// keyAt, keySeq is the key Key reports.
+	keyAt  Time
+	keySeq uint64
+
 	handlers []func(arg0, arg1 uint64)
+	lazy     []Lazy
 
 	// Processed counts events executed so far; useful for perf accounting.
 	Processed uint64
@@ -308,7 +313,7 @@ const defaultHeapHint = 1024
 // NewEngine returns an engine at time zero with a deterministic RNG.
 func NewEngine(seed int64) *Engine {
 	src := &countingSource{src: rand.NewSource(seed).(rand.Source64)}
-	e := &Engine{seed: seed, src: src, rng: rand.New(src)}
+	e := &Engine{seed: seed, src: src, rng: rand.New(src), keySeq: math.MaxUint64}
 	e.q.ev = make([]event, 0, defaultHeapHint)
 	return e
 }
@@ -358,18 +363,45 @@ func (e *Engine) Schedule(t Time, id HandlerID, arg0, arg1 uint64) {
 	if id == 0 || int(id) > len(e.handlers) {
 		panic(fmt.Sprintf("sim: Schedule with unregistered handler %d", id))
 	}
-	e.push(t, e.reserve(), id, arg0, arg1)
+	e.push(t, e.ReserveSeq(), id, arg0, arg1)
 }
 
-// reserve takes the next event's sequence number. A Timer reserves one
-// on every re-arm, queued or not, so every seq is as if each re-arm had
+// ReserveSeq takes the next event's sequence number. A Timer reserves
+// one on every re-arm, queued or not, and a lazy item (see Lazy) one
+// where it would have been scheduled, so every seq is as if each had
 // scheduled an event.
-func (e *Engine) reserve() uint64 {
+func (e *Engine) ReserveSeq() uint64 {
 	e.seq++
 	return e.seq
 }
 
-// push queues an event under the key (t, seq), seq taken from reserve.
+// Key returns the key lazy items are retired against: an item whose key
+// (at, seq) lies below it is due. During a handler it is the running
+// event's key, and after Step or a Stop the last event's; once a run has
+// reached now with nothing left to run there, it is (now, MaxUint64).
+func (e *Engine) Key() (Time, uint64) { return e.keyAt, e.keySeq }
+
+// Lazy is work a component keeps off the event queue. Each item holds a
+// key (at, seq), its seq taken from ReserveSeq, and changes only the
+// component's own state, which the component brings up to date before
+// every read or change of it by applying, in key order, each item below
+// Key. So every item takes effect at its place in the event order
+// without being an event.
+type Lazy interface {
+	// NextAt applies the items that are due and returns the earliest
+	// time among the rest, false when none is left.
+	NextAt() (Time, bool)
+	// Drain applies every item and returns the latest one's time, false
+	// when none was pending.
+	Drain() (Time, bool)
+}
+
+// AddLazy registers a component's lazy items. NextEventAt then reports
+// them too, so shard barriers fall where they would if each item were an
+// event, and Run drains them before it returns.
+func (e *Engine) AddLazy(l Lazy) { e.lazy = append(e.lazy, l) }
+
+// push queues an event under the key (t, seq), seq taken from ReserveSeq.
 func (e *Engine) push(t Time, seq uint64, id HandlerID, arg0, arg1 uint64) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling at %v before now %v", t, e.now))
@@ -410,15 +442,21 @@ func (e *Engine) Dispatch(id HandlerID, arg0, arg1 uint64) {
 // Pending reports how many events are queued.
 func (e *Engine) Pending() int { return e.q.len() }
 
-// NextEventAt peeks the timestamp of the earliest queued event. The
-// second return is false when the queue is empty. ShardGroup uses this
-// at barriers to bound the next conservative window.
+// NextEventAt peeks the timestamp of the earliest queued event or
+// pending lazy item. The second return is false when there is neither.
+// ShardGroup uses this at barriers to bound the next conservative window.
 func (e *Engine) NextEventAt() (Time, bool) {
 	m := e.q.min()
-	if m == 0 {
-		return 0, false
+	at, ok := Time(0), m != 0
+	if ok {
+		at = e.q.ev[m-1].at
 	}
-	return e.q.ev[m-1].at, true
+	for _, l := range e.lazy {
+		if t, lok := l.NextAt(); lok && (!ok || t < at) {
+			at, ok = t, true
+		}
+	}
+	return at, ok
 }
 
 // MaxPending reports the high-water mark of the event queue over the
@@ -433,7 +471,9 @@ func (e *Engine) HeapCap() int { return cap(e.q.ev) }
 // Stop makes the current Run call return after the current event.
 func (e *Engine) Stop() { e.stopped = true }
 
-// Step executes the next event, if any, and reports whether one ran.
+// Step executes the next queued event, if any, and reports whether one
+// ran. Lazy items are not events: they take effect as their component
+// reads its state, or when Run drains them.
 func (e *Engine) Step() bool { return e.stepBy(math.MaxInt64) }
 
 // stepBy executes the next event if it is due by deadline and reports
@@ -448,16 +488,28 @@ func (e *Engine) stepBy(deadline Time) bool {
 		panic("sim: time went backwards")
 	}
 	e.now = ev.at
+	e.keyAt, e.keySeq = ev.at, ev.seq
 	e.Processed++
 	e.handlers[ev.id-1](ev.arg0, ev.arg1)
 	return true
 }
 
-// Run executes events until the queue is empty or Stop is called.
+// Run executes events until the queue is empty or Stop is called. A run
+// that empties the queue then drains every lazy item and moves the clock
+// to the latest item's time, as if each had been an event.
 func (e *Engine) Run() {
 	e.stopped = false
 	for !e.stopped && e.Step() {
 	}
+	if e.stopped {
+		return
+	}
+	for _, l := range e.lazy {
+		if t, ok := l.Drain(); ok && t > e.now {
+			e.now = t
+		}
+	}
+	e.reached(e.now)
 }
 
 // RunUntil executes events with timestamps <= deadline, then sets the clock
@@ -468,6 +520,19 @@ func (e *Engine) RunUntil(deadline Time) {
 	}
 	if e.now < deadline {
 		e.now = deadline
+	}
+	if !e.stopped {
+		e.reached(deadline)
+	}
+}
+
+// reached records that every event due by t has run, so lazy items due
+// by t are due too. A Stop keeps the last event's key instead: RunUntil
+// still moves the clock, but the events after the stopping one have not
+// run.
+func (e *Engine) reached(t Time) {
+	if t >= e.keyAt {
+		e.keyAt, e.keySeq = t, math.MaxUint64
 	}
 }
 

@@ -3,6 +3,7 @@ package sim
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -142,6 +143,115 @@ func TestEngineStop(t *testing.T) {
 	e.Run() // resumes
 	if n != 2 {
 		t.Fatalf("ran %d events total, want 2", n)
+	}
+}
+
+// TestEngineKey: Key is the running event's key inside a handler, the
+// last event's after Step or a Stop (even once RunUntil has moved the
+// clock past it), and (now, MaxUint64) once a run has reached now.
+func TestEngineKey(t *testing.T) {
+	e := NewEngine(1)
+	type key struct {
+		at  Time
+		seq uint64
+	}
+	k := func() key {
+		at, seq := e.Key()
+		return key{at, seq}
+	}
+	var inside []key
+	h := e.Handler(func(stop, _ uint64) {
+		inside = append(inside, k())
+		if stop != 0 {
+			e.Stop()
+		}
+	})
+	if got := k(); got != (key{0, math.MaxUint64}) {
+		t.Fatalf("new engine key %v", got)
+	}
+	e.Schedule(5, h, 0, 0)  // seq 1
+	e.Schedule(5, h, 1, 0)  // seq 2: stops
+	e.Schedule(17, h, 0, 0) // seq 3
+	e.RunUntil(10)
+	if want := []key{{5, 1}, {5, 2}}; !slices.Equal(inside, want) {
+		t.Fatalf("keys inside handlers %v, want %v", inside, want)
+	}
+	if got := k(); got != (key{5, 2}) || e.Now() != 10 {
+		t.Fatalf("after a Stop under RunUntil: key %v at now %v, want the stopping event's key at 10", got, e.Now())
+	}
+	e.Step()
+	if got := k(); got != (key{17, 3}) {
+		t.Fatalf("after Step: key %v, want {17 3}", got)
+	}
+	e.RunUntil(20)
+	if got := k(); got != (key{20, math.MaxUint64}) {
+		t.Fatalf("after RunUntil(20): key %v", got)
+	}
+}
+
+// fakeLazy is a component with lazy items at fixed times; applied counts
+// the items applied so far.
+type fakeLazy struct {
+	e       *Engine
+	at      []Time
+	applied int
+}
+
+func (f *fakeLazy) retire() {
+	now, _ := f.e.Key()
+	for f.applied < len(f.at) && f.at[f.applied] < now {
+		f.applied++
+	}
+}
+
+func (f *fakeLazy) NextAt() (Time, bool) {
+	f.retire()
+	if f.applied == len(f.at) {
+		return 0, false
+	}
+	return f.at[f.applied], true
+}
+
+func (f *fakeLazy) Drain() (Time, bool) {
+	if f.applied == len(f.at) {
+		return 0, false
+	}
+	f.applied = len(f.at)
+	return f.at[len(f.at)-1], true
+}
+
+// TestEngineLazyItems: NextEventAt reports a registered component's
+// lazy items beside queued events, and Run drains them and moves the
+// clock to the latest, unless a Stop ends the run first.
+func TestEngineLazyItems(t *testing.T) {
+	e := NewEngine(1)
+	l := &fakeLazy{e: e, at: []Time{3, 40, 90}}
+	e.AddLazy(l)
+	h := e.Handler(func(stop, _ uint64) {
+		if stop != 0 {
+			e.Stop()
+		}
+	})
+	e.Schedule(20, h, 0, 0)
+	if at, ok := e.NextEventAt(); !ok || at != 3 {
+		t.Fatalf("NextEventAt = %v, %v; want the lazy item at 3", at, ok)
+	}
+	e.RunUntil(10)
+	if at, ok := e.NextEventAt(); !ok || at != 20 {
+		t.Fatalf("after RunUntil(10): NextEventAt = %v, %v; want the event at 20", at, ok)
+	}
+	e.Schedule(50, h, 1, 0)
+	e.Run()
+	if at, ok := e.NextEventAt(); e.Now() != 50 || !ok || at != 90 || l.applied != 2 {
+		t.Fatalf("stopped Run: now %v, next %v (%v), %d items applied; want 50, 90 and 2",
+			e.Now(), at, ok, l.applied)
+	}
+	e.Run()
+	if e.Now() != 90 || l.applied != 3 {
+		t.Fatalf("Run: now %v with %d items applied; want 90 and 3", e.Now(), l.applied)
+	}
+	if _, ok := e.NextEventAt(); ok {
+		t.Fatal("NextEventAt reports work after a drained Run")
 	}
 }
 

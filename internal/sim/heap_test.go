@@ -278,7 +278,7 @@ func FuzzEventHeapOrder(f *testing.F) {
 func TestEventHeapRejectsKeyBelowLastPopped(t *testing.T) {
 	e := NewEngine(1)
 	h := e.Handler(func(_, _ uint64) {})
-	stale := e.reserve()
+	stale := e.ReserveSeq()
 	e.Schedule(10, h, 0, 0)
 	e.RunUntil(10)
 	defer func() {

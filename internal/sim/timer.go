@@ -64,7 +64,7 @@ func (t *Timer) Reset(d Time) {
 	t.gen++
 	t.set = true
 	t.at = t.e.Now() + max(d, 0)
-	t.seq = t.e.reserve()
+	t.seq = t.e.ReserveSeq()
 	if t.wakeSeq == 0 || t.at < t.wakeAt {
 		t.wake()
 	}

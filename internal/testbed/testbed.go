@@ -200,7 +200,7 @@ func (o Config) Validate() error {
 	if !(o.LinkRate >= 0) || math.IsInf(float64(o.LinkRate), 1) {
 		return fmt.Errorf("testbed: LinkRate %v is not a finite non-negative rate", o.LinkRate)
 	}
-	if o.WireLossProb < 0 || o.WireLossProb > 1 {
+	if !(o.WireLossProb >= 0 && o.WireLossProb <= 1) { // NaN fails both
 		return fmt.Errorf("testbed: WireLossProb %v outside [0,1]", o.WireLossProb)
 	}
 	if o.PauseWatchdog < 0 {
@@ -242,6 +242,9 @@ func (o Config) Validate() error {
 	}
 	if o.MBAWriteLatency < 0 || o.MBAWriteLatency > math.MaxInt64-d.Warmup-d.Measure {
 		return fmt.Errorf("testbed: MBAWriteLatency %v is negative or overflows the clock past warmup %v + measure %v", o.MBAWriteLatency, d.Warmup, d.Measure)
+	}
+	if o.MinRTO < 0 {
+		return fmt.Errorf("testbed: negative MinRTO %v", o.MinRTO)
 	}
 	if err := d.transportConfig().Validate(); err != nil {
 		return err
