@@ -16,7 +16,8 @@
 #   make bench-smoke
 #                   CI gate: every microbenchmark runs once, then the
 #                   zero-alloc guards (engine, memory controller, ring,
-#                   packet pool, two-host datapath, telemetry, and the
+#                   packet pool, two-host datapath, telemetry, the fluid
+#                   tick with pass helpers, the sweep batch, and the
 #                   whole host-bound testbed with 3x MApp and hostCC)
 #                   must report 0 allocations
 #   make api-compat build + vet the examples module against the public
@@ -191,7 +192,7 @@ bench:
 # never replaces the recorded baseline in BENCH_baseline.json.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkEngine|BenchmarkDatapath' -benchtime=1x 		-benchmem -count=1 -json ./internal/sim/ ./internal/host/ . > /tmp/bench_smoke.json
-	$(GO) test ./internal/sim/ ./internal/mem/ ./internal/ring/ ./internal/packet/ ./internal/host/ ./internal/telemetry/ ./internal/testbed/ 		-run 'ZeroAlloc|NoAlloc' -count=1 -v | grep -E '^(=== RUN|--- |ok|FAIL)'
+	$(GO) test ./internal/sim/ ./internal/mem/ ./internal/ring/ ./internal/packet/ ./internal/host/ ./internal/telemetry/ ./internal/testbed/ 		./internal/fluid/ ./internal/sweep/ -run 'ZeroAlloc|NoAlloc' -count=1 -v | grep -E '^(=== RUN|--- |ok|FAIL)'
 
 # API-compat gate: examples/ is a separate module that can only see the
 # repo's exported API, so building it fails the moment a public signature

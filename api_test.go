@@ -68,6 +68,20 @@ func TestBadInputsReturnErrors(t *testing.T) {
 			Injections: []FaultInjection{FaultProbabilistic(FaultMSRFail, Millisecond, Millisecond, math.NaN())}}))},
 		{"fault plan with a NaN MApp burst", newErr(WithFaultPlan(&FaultPlan{
 			Injections: []FaultInjection{FaultOneShot(FaultMAppBurst, Millisecond, Millisecond).WithMagnitude(math.NaN())}}))},
+		{"fault plan with a NaN MSR latency", newErr(WithFaultPlan(&FaultPlan{
+			Injections: []FaultInjection{FaultProbabilistic(FaultMSRLatency, Millisecond, Millisecond, 1).WithMagnitude(math.NaN())}}))},
+		{"fault plan with a negative MSR latency", newErr(WithFaultPlan(&FaultPlan{
+			Injections: []FaultInjection{FaultProbabilistic(FaultMSRLatency, Millisecond, Millisecond, 1).WithMagnitude(-5e6)}}))},
+		{"fault plan with an infinite MSR latency", newErr(WithFaultPlan(&FaultPlan{
+			Injections: []FaultInjection{FaultProbabilistic(FaultMSRLatency, Millisecond, Millisecond, 1).WithMagnitude(math.Inf(1))}}))},
+		{"fault plan whose MSR latency overflows the clock", newErr(WithFaultPlan(&FaultPlan{
+			Injections: []FaultInjection{FaultProbabilistic(FaultMSRLatency, Millisecond, Millisecond, 1).WithMagnitude(math.Nextafter(1<<63, 0))}}))},
+		{"fault plan with a NaN MBA delay", newErr(WithFaultPlan(&FaultPlan{
+			Injections: []FaultInjection{FaultProbabilistic(FaultMBADelay, Millisecond, Millisecond, 1).WithMagnitude(math.NaN())}}))},
+		{"fault plan with a negative MBA delay", newErr(WithFaultPlan(&FaultPlan{
+			Injections: []FaultInjection{FaultProbabilistic(FaultMBADelay, Millisecond, Millisecond, 1).WithMagnitude(-5e6)}}))},
+		{"fault plan with an infinite MBA delay", newErr(WithFaultPlan(&FaultPlan{
+			Injections: []FaultInjection{FaultProbabilistic(FaultMBADelay, Millisecond, Millisecond, 1).WithMagnitude(math.Inf(1))}}))},
 		{"warmup plus measure overflows the clock", newErr(WithWarmup(math.MaxInt64), WithMeasure(time.Millisecond))},
 		{"NaN link rate", newErr(WithLinkRate(math.NaN()))},
 		{"infinite link rate", newErr(WithLinkRate(math.Inf(1)))},

@@ -176,6 +176,29 @@ func (p Plan) Validate() error {
 		if _, ok := inj.end(); !ok {
 			return fmt.Errorf("faults: injection %d (%v): last window ends past the end of simulated time", n, inj.Kind)
 		}
+		if inj.Kind == MSRLatency || inj.Kind == MBADelay {
+			if err := inj.checkLatency(); err != nil {
+				return fmt.Errorf("faults: injection %d (%v): %w", n, inj.Kind, err)
+			}
+		}
+	}
+	return nil
+}
+
+// checkLatency validates an extra-latency magnitude (nanoseconds): the
+// injector converts it to sim.Time and adds it to the simulation clock
+// inside the injection's windows, so it must be a non-negative number
+// that converts in range and keeps the last window's end plus the
+// latency on the clock. The other fields must already be valid.
+func (inj Injection) checkLatency() error {
+	const maxTime = sim.Time(math.MaxInt64)
+	m := inj.Magnitude
+	if !(m >= 0 && m < math.MaxInt64) { // NaN fails both; 2^63 does not convert
+		return fmt.Errorf("extra latency %v ns outside [0, 2^63)", m)
+	}
+	end, _ := inj.end()
+	if sim.Time(m) > maxTime-end {
+		return fmt.Errorf("extra latency %v ns past the window's end at %v overflows the clock", m, end)
 	}
 	return nil
 }

@@ -45,22 +45,27 @@ func leafSpine(flows int) *Network {
 }
 
 // BenchmarkFluidTick times one integration step of a leaf–spine-shaped
-// population at 10k, 100k and 1M flows and reports the cost per flow
-// per tick, the integrator's unit of work.
+// population at 10k, 100k and 1M flows, with the flow pass on one and
+// on two participants, and reports the cost per flow per tick, the
+// integrator's unit of work.
 func BenchmarkFluidTick(b *testing.B) {
 	for _, flows := range []int{10_000, 100_000, 1_000_000} {
-		b.Run(fmt.Sprintf("flows=%d", flows), func(b *testing.B) {
-			net := leafSpine(flows)
-			for i := 0; i < 100; i++ { // past the first RTT windows
-				net.Tick(0)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				net.Tick(0)
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(flows), "ns/flow-tick")
-		})
+		net := leafSpine(flows)
+		for i := 0; i < 100; i++ { // past the first RTT windows
+			net.Tick(0)
+		}
+		for _, workers := range []int{1, 2} {
+			b.Run(fmt.Sprintf("flows=%d/participants=%d", flows, workers), func(b *testing.B) {
+				net.workers = workers
+				net.Tick(0) // sizes the pass's per-participant scratch
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					net.Tick(0)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(flows), "ns/flow-tick")
+			})
+		}
 	}
 }
 

@@ -8,7 +8,9 @@
 // tier and marks above the ECN threshold; then one pass over the flows
 // reads each path's outcome, advances every flow's rate by its
 // congestion-control twin once per model RTT, and sums the next tick's
-// demand as it goes.
+// demand and the tick's served rate as it goes. The pass runs over
+// fixed chunks of the flow table on the caller and helpers from the
+// shared sweep pool.
 //
 // Conservation at the seam runs through fabric.FluidTap (the Seam
 // interface here): the integrator reads the packet bytes offered to a
@@ -16,11 +18,13 @@
 // fluid demand and queue share so packets are serialized at the
 // residual capacity and ECN-marked on the combined depth.
 //
-// Everything is deterministic by construction: resources and flows
-// advance in index order, all arithmetic is fixed-order float64, and
-// promote/demote decisions fire from hysteresis counters compared in
-// flow order — a run is reproducible tick for tick, which the snapshot
-// digests verify.
+// Everything is deterministic by construction, whatever the number of
+// participants: per-flow and per-resource arithmetic is fixed-order
+// float64; every sum across flows is an exact integer count of one
+// fixed-point rate unit, so no result depends on the order in which
+// chunks are summed; and promote/demote hooks run after the pass in flow
+// order. A run is reproducible tick for tick, which the snapshot digests
+// verify.
 package fluid
 
 import (
@@ -29,6 +33,7 @@ import (
 	"slices"
 
 	"repro/internal/sim"
+	"repro/internal/sweep"
 	"repro/internal/transport"
 )
 
@@ -130,8 +135,8 @@ func (c Config) Validate() error {
 	if c0.MSS <= 0 {
 		return fmt.Errorf("fluid: MSS %d must be positive", c0.MSS)
 	}
-	if c0.InitRate <= 0 || c0.MinRate <= 0 {
-		return fmt.Errorf("fluid: InitRate %v and MinRate %v must be positive", c0.InitRate, c0.MinRate)
+	if !finitePositive(float64(c0.InitRate)) || !finitePositive(float64(c0.MinRate)) {
+		return fmt.Errorf("fluid: InitRate %v and MinRate %v must be positive and finite", c0.InitRate, c0.MinRate)
 	}
 	if c0.PromoteTicks < 0 || c0.DemoteTicks < 0 {
 		return fmt.Errorf("fluid: negative hysteresis (%d promote / %d demote ticks)", c0.PromoteTicks, c0.DemoteTicks)
@@ -151,6 +156,9 @@ func (c Config) Validate() error {
 	return nil
 }
 
+// finitePositive reports whether x is positive and finite (NaN is not).
+func finitePositive(x float64) bool { return x > 0 && x <= math.MaxFloat64 }
+
 // ResourceID indexes one resource of a Network, in AddResource order.
 type ResourceID int32
 
@@ -158,6 +166,33 @@ type ResourceID int32
 // trunk, down-access. Inline storage keeps a million-flow population at
 // 48 bytes per flow with no per-flow allocation.
 const maxHops = 4
+
+// The flow pass sums rates across flows as int64 counts of a fixed-point
+// rate unit: 2^-16 of the largest power of two not above MinRate (1 B/s
+// at the default 1 Mbps), so a rate converts by an exact power-of-two
+// scaling and one truncation. A flow's rate is capped at unitCap units,
+// more than 2^21 × MinRate (2.2 Tbps at the default), and a network
+// holds at most MaxFlows flows. A resource's demand sums at most maxHops
+// contributions per flow, so no sum exceeds
+// maxHops × MaxFlows × unitCap = 2^62. The served rate takes each
+// contribution times the path's served fraction in fracBits fixed point,
+// which stays below 2^62 per flow and sums to no more than demand does.
+const (
+	MaxFlows = 1 << 22
+	unitCap  = 1 << 38
+	fracBits = 24
+)
+
+// The sum bounds above, checked by the compiler: a negative untyped
+// constant does not convert to uint64.
+const (
+	_ uint64 = math.MaxInt64 - maxHops*MaxFlows*unitCap
+	_ uint64 = math.MaxInt64 - unitCap<<fracBits
+)
+
+// chunkFlows is the flow pass's unit of work: participants claim the
+// flow table this many flows at a time.
+const chunkFlows = 4096
 
 // resource is one serializing capacity: its configuration and its
 // integrated queue. What flows read of it each tick is in Network.view.
@@ -171,14 +206,13 @@ type resource struct {
 }
 
 // view is one resource's outcome of the current tick, the only part of
-// it the flow pass reads: 16 bytes, four to a cache line.
+// it the flow pass reads: 8 bytes, eight to a cache line.
 type view struct {
-	// served is the fraction of demand served this tick, as IEEE-754
-	// bits: the fraction is never negative, so its bit patterns order
-	// like the fractions, and a flow takes its path minimum with
-	// branch-free integer compares.
-	served uint64
-	bits   uint8 // vMarked | vLossy | vHot | vNotCalm
+	// frac is the fraction of demand served this tick, truncated to
+	// fracBits fixed point (1<<fracBits when all of it is), so a flow
+	// takes its path minimum with branch-free integer compares.
+	frac uint32
+	bits uint8 // vMarked | vLossy | vHot | vNotCalm
 }
 
 // view bits. A flow ORs them over its path.
@@ -194,6 +228,10 @@ const (
 	stPromotable = 1 << iota // has a packet-level twin connection
 	stPromoted               // currently running at packet level
 )
+
+// Pass events, recorded per chunk as index<<1 | kind: the flow's promote
+// or demote hysteresis fired, and its hook runs after the pass.
+const evDemote = 1
 
 type flow struct {
 	path  [maxHops]ResourceID // hops past npath repeat the last hop
@@ -219,10 +257,15 @@ type Network struct {
 	flows       []flow
 	windowTicks uint16
 
+	// unit is the fixed-point rate unit in bytes/sec and scale its
+	// inverse, both powers of two; maxRate is unitCap units.
+	unit, scale, maxRate float64
+
 	// demand[r] is the next tick's Σ rate over the demoted flows
-	// crossing resource r, added in flow order: by the flow pass of the
-	// previous tick (each flow's post-response rate) and by AddFlow.
-	demand []float64
+	// crossing resource r, in rate units: added by the flow pass of the
+	// previous tick (each flow's post-response rate), by a demotion's
+	// hook and by AddFlow.
+	demand []int64
 
 	ticks      uint64
 	promotions uint64
@@ -231,6 +274,23 @@ type Network struct {
 
 	promote func(i int, rate sim.Rate)
 	demote  func(i int) sim.Rate
+
+	// The chunked flow pass. workers is the participant count (0 selects
+	// one per pool worker) and chunk the flows per chunk (chunkFlows);
+	// no result depends on either, and only tests change them.
+	workers, chunk int
+	batch          sweep.Batch
+	pass           func(slot, c int) // passChunk, bound once
+	parts          []part            // per participant slot
+	events         [][]int32         // per chunk, in flow order
+}
+
+// part is one pass participant's accumulators. Slot 0 is the caller,
+// whose demand is the network's own array.
+type part struct {
+	demand []int64
+	served int64 // Σ rate × served fraction, rate units
+	used   bool  // claimed a chunk this tick
 }
 
 // New creates an empty network. Panics on an invalid config (build-time
@@ -241,7 +301,28 @@ func New(cfg Config) *Network {
 	}
 	cfg = cfg.withDefaults()
 	cc, _ := transport.FluidSchemeByName(cfg.Scheme, cfg.MSS, cfg.RTT)
-	return &Network{cfg: cfg, cc: cc, windowTicks: uint16(cfg.windowTicks())}
+	_, e := math.Frexp(float64(cfg.MinRate)) // 2^(e-1) <= MinRate < 2^e
+	n := &Network{cfg: cfg, cc: cc, windowTicks: uint16(cfg.windowTicks()),
+		unit: math.Ldexp(1, e-17), scale: math.Ldexp(1, 17-e), maxRate: math.Ldexp(unitCap, e-17),
+		chunk: chunkFlows}
+	n.pass = n.passChunk
+	return n
+}
+
+// units converts a rate in bytes/sec, at most maxRate, to whole rate
+// units: an exact power-of-two scaling and one truncation.
+func units(rate, scale float64) int64 { return int64(rate * scale) }
+
+// boundRate holds a flow's new rate within [MinRate, maxRate]; NaN reads
+// as maxRate.
+func (n *Network) boundRate(rate float64) float64 {
+	if rate < float64(n.cfg.MinRate) {
+		return float64(n.cfg.MinRate)
+	}
+	if !(rate <= n.maxRate) {
+		return n.maxRate
+	}
+	return rate
 }
 
 // Config returns the resolved configuration.
@@ -280,12 +361,21 @@ func (n *Network) SetFault(r ResourceID, on bool) { n.res[r].faulted = on }
 
 // Grow makes room for k more flows, so a population of known size
 // takes one allocation instead of the growth of repeated AddFlow calls.
-func (n *Network) Grow(k int) { n.flows = slices.Grow(n.flows, k) }
+// Like AddFlow it panics past MaxFlows.
+func (n *Network) Grow(k int) {
+	if k < 0 || k > MaxFlows-len(n.flows) {
+		panic(fmt.Sprintf("fluid: %d flows plus %d exceed MaxFlows %d", len(n.flows), k, MaxFlows))
+	}
+	n.flows = slices.Grow(n.flows, k)
+}
 
 // AddFlow adds one background flow over the given resource path and
 // returns its index. Flows start demoted at InitRate, which joins the
-// next tick's demand on every hop.
+// next tick's demand on every hop. It panics past MaxFlows flows.
 func (n *Network) AddFlow(path ...ResourceID) int {
+	if len(n.flows) >= MaxFlows {
+		panic(fmt.Sprintf("fluid: flow %d exceeds MaxFlows %d", len(n.flows), MaxFlows))
+	}
 	if len(path) == 0 || len(path) > maxHops {
 		panic(fmt.Sprintf("fluid: flow path of %d hops (want 1..%d)", len(path), maxHops))
 	}
@@ -294,12 +384,13 @@ func (n *Network) AddFlow(path ...ResourceID) int {
 			panic(fmt.Sprintf("fluid: flow hop %d references unknown resource %d", i, r))
 		}
 	}
-	f := flow{npath: uint8(len(path)), winLeft: n.windowTicks, rate: float64(n.cfg.InitRate)}
+	f := flow{npath: uint8(len(path)), winLeft: n.windowTicks, rate: min(float64(n.cfg.InitRate), n.maxRate)}
 	for i := range f.path {
 		f.path[i] = path[min(i, len(path)-1)]
 	}
+	u := units(f.rate, n.scale)
 	for _, r := range path {
-		n.demand[r] += f.rate
+		n.demand[r] += u
 	}
 	n.flows = append(n.flows, f)
 	return len(n.flows) - 1
@@ -317,8 +408,9 @@ func (n *Network) SetPromotable(i int, on bool) {
 
 // SetPromoteHooks installs the promote/demote callbacks: promote hands
 // flow i to the packet tier seeded with its fluid rate; demote takes it
-// back and returns the rate the packet tier measured. The hooks run
-// inside Tick's flow pass and must not call back into the network.
+// back and returns the rate the packet tier measured. The hooks run on
+// Tick's caller after the flow pass, in flow order, and must not call
+// back into the network.
 func (n *Network) SetPromoteHooks(promote func(i int, rate sim.Rate), demote func(i int) sim.Rate) {
 	n.promote = promote
 	n.demote = demote
@@ -339,9 +431,11 @@ func (n *Network) Register(c *sim.CoarseClock) {
 //
 // One pass over the flows per tick: each demoted flow adds its
 // post-response rate to the next tick's demand as it goes, so there is
-// no separate demand pass. The additions into every demand[r] are the
-// ones a per-tick re-summation would make, in the same flow order, so
-// every float result is bit-identical to it.
+// no separate demand pass. The pass runs chunk by chunk on several
+// participants, each summing demand and served rate into its own
+// integer accumulators, which Tick then merges; integer addition is
+// associative, so every result is the same at any participant count.
+// Promote and demote hooks fire after the merge, in flow order.
 func (n *Network) Tick(_ sim.Time) {
 	n.ticks++
 	dt := n.cfg.Tick.Seconds()
@@ -355,7 +449,7 @@ func (n *Network) Tick(_ sim.Time) {
 	// counters already account for, so they are not in demand.
 	for i := range n.res {
 		r := &n.res[i]
-		d := demand[i]
+		d := float64(demand[i]) * n.unit
 		demand[i] = 0 // refilled by this tick's flow pass
 		capLeft := r.cap
 		if r.seam != nil {
@@ -366,7 +460,7 @@ func (n *Network) Tick(_ sim.Time) {
 		}
 		served, lossFrac := 1.0, 0.0
 		if d > capLeft {
-			r.q += (d - capLeft) * dt
+			r.q += float64((d - capLeft) * dt)
 			if r.q > r.buf {
 				lost := r.q - r.buf
 				r.q = r.buf
@@ -376,7 +470,7 @@ func (n *Network) Tick(_ sim.Time) {
 				served = capLeft / d
 			}
 		} else {
-			r.q -= (capLeft - d) * dt
+			r.q -= float64((capLeft - d) * dt)
 			if r.q < 0 {
 				r.q = 0
 			}
@@ -398,43 +492,110 @@ func (n *Network) Tick(_ sim.Time) {
 		if !(combined < demoteQ*r.ecn) || r.faulted {
 			bits |= vNotCalm
 		}
-		views[i] = view{served: math.Float64bits(served), bits: bits}
+		views[i] = view{frac: uint32(served * (1 << fracBits)), bits: bits}
 		if r.seam != nil {
 			r.seam.SetBackground(sim.Rate(d), int(r.q))
 		}
 	}
 
-	// Flow response, in flow-index order (the determinism contract for
-	// promote/demote: hysteresis counters tick and fire in this order),
-	// and the next tick's demand. A path's unused hops repeat its last
-	// hop, so reading all maxHops views changes neither the OR of the
-	// bits nor the minimum served fraction.
-	flows, delivered := n.flows, n.delivered
-	for i := range flows {
-		f := &flows[i]
+	chunks := (len(n.flows) + n.chunk - 1) / n.chunk
+	workers := n.workers
+	if workers <= 0 {
+		workers = sweep.Workers()
+	}
+	workers = max(min(workers, chunks), 1)
+	n.preparePass(workers, chunks)
+	n.batch.Run(chunks, workers, n.pass)
+
+	var served int64
+	for w := range n.parts[:workers] {
+		p := &n.parts[w]
+		if !p.used {
+			continue
+		}
+		served += p.served
+		p.served, p.used = 0, false
+		if w > 0 {
+			for r := range demand {
+				demand[r] += p.demand[r]
+				p.demand[r] = 0
+			}
+		}
+	}
+	n.delivered += float64(float64(served) * n.unit * dt)
+
+	for c := range n.events[:chunks] {
+		for _, ev := range n.events[c] {
+			if i := int(ev >> 1); ev&evDemote != 0 {
+				n.demoteFlow(i)
+			} else {
+				n.promotions++
+				n.promote(i, sim.Rate(n.flows[i].rate))
+			}
+		}
+		n.events[c] = n.events[c][:0]
+	}
+}
+
+// preparePass sizes the per-participant accumulators and the per-chunk
+// event lists; it allocates only when the participants, resources or
+// flows have grown.
+func (n *Network) preparePass(workers, chunks int) {
+	if len(n.parts) < workers {
+		n.parts = append(n.parts, make([]part, workers-len(n.parts))...)
+	}
+	n.parts[0].demand = n.demand
+	for w := 1; w < workers; w++ {
+		if p := &n.parts[w]; len(p.demand) < len(n.res) {
+			p.demand = append(p.demand, make([]int64, len(n.res)-len(p.demand))...)
+		}
+	}
+	if len(n.events) < chunks {
+		n.events = append(n.events, make([][]int32, chunks-len(n.events))...)
+	}
+}
+
+// passChunk is one participant's pass over chunk c: flow response, the
+// served rate, and the next tick's demand into the participant's own
+// accumulators. A path's unused hops repeat its last hop, so reading all
+// maxHops views changes neither the OR of the bits nor the minimum
+// served fraction. A flow's served rate is its rate before the window's
+// response; its demand, the rate after.
+func (n *Network) passChunk(slot, c int) {
+	p := &n.parts[slot]
+	lo := c * n.chunk
+	flows := n.flows[lo:min(lo+n.chunk, len(n.flows))]
+	views, demand, scale := n.view, p.demand, n.scale
+	var served int64
+	for j := range flows {
+		f := &flows[j]
 		v0, v1, v2, v3 := &views[f.path[0]], &views[f.path[1]], &views[f.path[2]], &views[f.path[3]]
 		bits := v0.bits | v1.bits | v2.bits | v3.bits
 		if f.state&stPromoted != 0 {
-			if !n.demoteIfCalm(i, f, bits) {
-				continue
+			if n.calmToDemote(f, bits) {
+				n.events[c] = append(n.events[c], int32(lo+j)<<1|evDemote)
 			}
-		} else {
-			delivered += f.rate * math.Float64frombits(min(v0.served, v1.served, v2.served, v3.served)) * dt
-			f.markedTicks += uint16(bits & vMarked)   // bit 0
-			f.lossTicks += uint16(bits & vLossy >> 1) // bit 1
-			f.winLeft--
-			if f.winLeft == 0 {
-				n.endWindow(f)
-			}
-			if f.state&stPromotable != 0 && n.promoteIfHot(i, f, bits) {
-				continue
-			}
+			continue
+		}
+		u := units(f.rate, scale)
+		served += (u * int64(min(v0.frac, v1.frac, v2.frac, v3.frac))) >> fracBits
+		f.markedTicks += uint16(bits & vMarked)   // bit 0
+		f.lossTicks += uint16(bits & vLossy >> 1) // bit 1
+		f.winLeft--
+		if f.winLeft == 0 {
+			n.endWindow(f)
+			u = units(f.rate, scale)
+		}
+		if f.state&stPromotable != 0 && n.hotToPromote(f, bits) {
+			n.events[c] = append(n.events[c], int32(lo+j)<<1)
+			continue
 		}
 		for _, r := range f.path[:f.npath] {
-			demand[r] += f.rate
+			demand[r] += u
 		}
 	}
-	n.delivered = delivered
+	p.served += served
+	p.used = true
 }
 
 // endWindow advances f's rate through the congestion-control twin at
@@ -443,15 +604,14 @@ func (n *Network) endWindow(f *flow) {
 	mf := float64(f.markedTicks) / float64(n.windowTicks)
 	lf := float64(f.lossTicks) / float64(n.windowTicks)
 	f.rate, f.alpha = n.cc.Advance(f.rate, f.alpha, mf, lf)
-	if f.rate < float64(n.cfg.MinRate) {
-		f.rate = float64(n.cfg.MinRate)
-	}
+	f.rate = n.boundRate(f.rate)
 	f.winLeft, f.markedTicks, f.lossTicks = n.windowTicks, 0, 0
 }
 
-// promoteIfHot ticks a demoted promotable flow's hysteresis counters
-// and reports whether the flow promoted to packet level.
-func (n *Network) promoteIfHot(i int, f *flow, bits uint8) bool {
+// hotToPromote ticks a demoted promotable flow's hysteresis counters
+// and reports whether the flow promotes to packet level; its hook runs
+// after the pass.
+func (n *Network) hotToPromote(f *flow, bits uint8) bool {
 	if bits&vHot != 0 {
 		f.congTicks++
 		f.calmTicks = 0
@@ -468,33 +628,34 @@ func (n *Network) promoteIfHot(i int, f *flow, bits uint8) bool {
 	}
 	f.state |= stPromoted
 	f.congTicks, f.calmTicks = 0, 0
-	n.promotions++
-	n.promote(i, sim.Rate(f.rate))
 	return true
 }
 
-// demoteIfCalm ticks a promoted flow's calm counter and reports whether
-// the flow demoted back to fluid, at the rate the packet tier measured.
-func (n *Network) demoteIfCalm(i int, f *flow, bits uint8) bool {
+// calmToDemote ticks a promoted flow's calm counter and reports whether
+// the flow demotes back to fluid; demoteFlow completes it after the pass.
+func (n *Network) calmToDemote(f *flow, bits uint8) bool {
 	if bits&vNotCalm == 0 {
 		f.calmTicks++
 	} else {
 		f.calmTicks = 0
 	}
-	if int(f.calmTicks) < n.cfg.DemoteTicks || n.demote == nil {
-		return false
-	}
-	got := float64(n.demote(i))
-	if got < float64(n.cfg.MinRate) {
-		got = float64(n.cfg.MinRate)
-	}
-	f.rate = got
+	return int(f.calmTicks) >= n.cfg.DemoteTicks && n.demote != nil
+}
+
+// demoteFlow takes flow i back from the packet tier at the rate the
+// demote hook reports, which joins the next tick's demand.
+func (n *Network) demoteFlow(i int) {
+	f := &n.flows[i]
+	f.rate = n.boundRate(float64(n.demote(i)))
 	f.alpha = 0
 	f.state &^= stPromoted
 	f.calmTicks, f.congTicks = 0, 0
 	f.winLeft, f.markedTicks, f.lossTicks = n.windowTicks, 0, 0
 	n.demotions++
-	return true
+	u := units(f.rate, n.scale)
+	for _, r := range f.path[:f.npath] {
+		n.demand[r] += u
+	}
 }
 
 // Flows returns the flow count.

@@ -2,6 +2,7 @@ package fluid
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
 	"repro/internal/sim"
@@ -334,10 +335,27 @@ func TestFluidValidateRejects(t *testing.T) {
 		{"RTT window rounding up past 65535 ticks", Config{Tick: 2 * sim.Nanosecond, RTT: 131071 * sim.Nanosecond}},
 		{"DemoteTicks above 65535", with(func(c *Config) { c.DemoteTicks = 70000 })},
 		{"PromoteTicks above 65535", with(func(c *Config) { c.PromoteTicks = 1 << 16 })},
+		{"NaN MinRate", with(func(c *Config) { c.MinRate = sim.Rate(math.NaN()) })},
+		{"infinite MinRate", with(func(c *Config) { c.MinRate = sim.Rate(math.Inf(1)) })},
+		{"NaN InitRate", with(func(c *Config) { c.InitRate = sim.Rate(math.NaN()) })},
+		{"infinite InitRate", with(func(c *Config) { c.InitRate = sim.Rate(math.Inf(1)) })},
 	} {
 		if err := tc.cfg.Validate(); err == nil {
 			t.Errorf("%s: Validate accepted %+v", tc.name, tc.cfg)
 		}
+	}
+	// Past MaxFlows the integer sums could overflow, so growing the flow
+	// table beyond it panics like the other construction errors. The
+	// check runs before any memory is reserved.
+	for _, k := range []int{MaxFlows + 1, -1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Grow(%d) did not panic", k)
+				}
+			}()
+			New(testConfig()).Grow(k)
+		}()
 	}
 	for _, ok := range []Config{
 		{}, // all defaults

@@ -11,19 +11,24 @@ import (
 	"repro/internal/transport"
 )
 
-// refNetwork is the two-pass integrator the one-pass Tick replaced,
-// kept verbatim over its own resource and flow records as the
-// equivalence oracle for TestFluidTickMatchesReference: per tick it
-// zeroes and re-sums every resource's demand over all flows, integrates
-// the queues, then walks the flows reading each hop's full resource
-// record. Any reordering of a float addition in the production tick
-// shows up as a byte difference against it.
+// refNetwork is a plain serial two-pass integrator over its own
+// resource and flow records, the equivalence oracle for
+// TestFluidTickMatchesReference: per tick it zeroes and re-sums every
+// resource's demand over all flows, integrates the queues, then walks
+// the flows in order reading each hop's full resource record and firing
+// promote/demote hooks as it goes. Demand and the served rate are summed
+// in the same fixed-point rate unit as the production tick, which it
+// derives on its own. Any difference in per-flow arithmetic, in what the
+// chunked pass sums, or in the order of hook calls shows up as a byte
+// difference against it.
 type refNetwork struct {
 	cfg         Config
 	cc          transport.FluidCC
 	res         []refResource
 	flows       []refFlow
 	windowTicks uint16
+	unit, scale float64
+	maxRate     float64 // unitCap units
 
 	ticks      uint64
 	promotions uint64
@@ -42,8 +47,9 @@ type refResource struct {
 	faulted bool
 
 	q        float64
-	demand   float64
+	demand   int64 // rate units
 	served   float64
+	frac     uint32 // served, fracBits fixed point
 	lossFrac float64
 	marked   bool
 	hot      bool
@@ -75,7 +81,27 @@ func newRefNetwork(cfg Config) *refNetwork {
 	if wt < 1 {
 		wt = 1
 	}
-	return &refNetwork{cfg: cfg, cc: cc, windowTicks: uint16(wt)}
+	// The unit is 2^-16 of the largest power of two not above MinRate.
+	unit := 1.0
+	for unit*2 <= float64(cfg.MinRate) {
+		unit *= 2
+	}
+	for unit > float64(cfg.MinRate) {
+		unit /= 2
+	}
+	unit /= 1 << 16
+	return &refNetwork{cfg: cfg, cc: cc, windowTicks: uint16(wt), unit: unit, scale: 1 / unit, maxRate: unit * unitCap}
+}
+
+// units converts a rate to whole rate units.
+func (n *refNetwork) units(rate float64) int64 { return int64(rate * n.scale) }
+
+// capRate holds a rate at or below maxRate (NaN included).
+func (n *refNetwork) capRate(rate float64) float64 {
+	if rate > n.maxRate || rate != rate {
+		return n.maxRate
+	}
+	return rate
 }
 
 func (n *refNetwork) addResource(capacity sim.Rate, bufBytes, ecnBytes int) {
@@ -83,7 +109,7 @@ func (n *refNetwork) addResource(capacity sim.Rate, bufBytes, ecnBytes int) {
 }
 
 func (n *refNetwork) addFlow(path ...ResourceID) {
-	f := refFlow{npath: uint8(len(path)), winLeft: n.windowTicks, rate: float64(n.cfg.InitRate)}
+	f := refFlow{npath: uint8(len(path)), winLeft: n.windowTicks, rate: min(float64(n.cfg.InitRate), n.maxRate)}
 	copy(f.path[:], path)
 	n.flows = append(n.flows, f)
 }
@@ -101,7 +127,7 @@ func (n *refNetwork) tick() {
 			continue
 		}
 		for k := uint8(0); k < f.npath; k++ {
-			n.res[f.path[k]].demand += f.rate
+			n.res[f.path[k]].demand += n.units(f.rate)
 		}
 	}
 
@@ -114,23 +140,24 @@ func (n *refNetwork) tick() {
 				capLeft = 0
 			}
 		}
+		demand := float64(r.demand) * n.unit
 		r.served = 1
 		r.lossFrac = 0
-		if r.demand > capLeft {
-			r.q += (r.demand - capLeft) * dt
+		if demand > capLeft {
+			r.q += float64((demand - capLeft) * dt)
 			if r.q > r.buf {
 				lost := r.q - r.buf
 				r.q = r.buf
-				r.lossFrac = lost / (r.demand * dt)
+				r.lossFrac = lost / (demand * dt)
 				if r.lossFrac > 1 {
 					r.lossFrac = 1
 				}
 			}
-			if r.demand > 0 {
-				r.served = capLeft / r.demand
+			if demand > 0 {
+				r.served = capLeft / demand
 			}
 		} else {
-			r.q -= (capLeft - r.demand) * dt
+			r.q -= float64((capLeft - demand) * dt)
 			if r.q < 0 {
 				r.q = 0
 			}
@@ -139,14 +166,16 @@ func (n *refNetwork) tick() {
 		if r.seam != nil {
 			combined += float64(r.seam.PacketQueueBytes())
 		}
+		r.frac = uint32(r.served * (1 << fracBits))
 		r.marked = combined > r.ecn
 		r.hot = combined > n.cfg.PromoteQueueFrac*r.buf || r.lossFrac > 0 || r.faulted
 		r.calm = combined < n.cfg.DemoteFrac*r.ecn && !r.faulted
 		if r.seam != nil {
-			r.seam.SetBackground(sim.Rate(r.demand), int(r.q))
+			r.seam.SetBackground(sim.Rate(demand), int(r.q))
 		}
 	}
 
+	var served int64
 	for i := range n.flows {
 		f := &n.flows[i]
 		if f.state&stPromoted != 0 {
@@ -167,7 +196,7 @@ func (n *refNetwork) tick() {
 				if got < float64(n.cfg.MinRate) {
 					got = float64(n.cfg.MinRate)
 				}
-				f.rate = got
+				f.rate = n.capRate(got)
 				f.alpha = 0
 				f.state &^= stPromoted
 				f.calmTicks, f.congTicks = 0, 0
@@ -178,7 +207,7 @@ func (n *refNetwork) tick() {
 		}
 
 		marked, lossy, hot, calm := false, false, false, true
-		frac := 1.0
+		frac := uint32(1 << fracBits)
 		for k := uint8(0); k < f.npath; k++ {
 			r := &n.res[f.path[k]]
 			if r.marked {
@@ -193,11 +222,11 @@ func (n *refNetwork) tick() {
 			if !r.calm {
 				calm = false
 			}
-			if r.served < frac {
-				frac = r.served
+			if r.frac < frac {
+				frac = r.frac
 			}
 		}
-		n.delivered += f.rate * frac * dt
+		served += n.units(f.rate) * int64(frac) >> fracBits
 
 		if marked {
 			f.markedTicks++
@@ -213,6 +242,7 @@ func (n *refNetwork) tick() {
 			if f.rate < float64(n.cfg.MinRate) {
 				f.rate = float64(n.cfg.MinRate)
 			}
+			f.rate = n.capRate(f.rate)
 			f.winLeft, f.markedTicks, f.lossTicks = n.windowTicks, 0, 0
 		}
 
@@ -236,6 +266,7 @@ func (n *refNetwork) tick() {
 			}
 		}
 	}
+	n.delivered += float64(float64(served) * n.unit * dt)
 }
 
 // snapshot encodes the reference in the fluid tier's version-1 layout
@@ -374,10 +405,11 @@ func (p *tickPair) mixedFlows(rs []ResourceID, count int) {
 	}
 }
 
-// TestFluidTickMatchesReference: the one-pass Tick is bit-identical to
-// the two-pass reference it replaced. After every tick the two encode
-// the same snapshot bytes, integrate the same goodput, and have made
-// the same promote/demote and SetBackground calls in the same order.
+// TestFluidTickMatchesReference: the one-pass chunked Tick is
+// bit-identical to the serial two-pass reference. After every tick the
+// two encode the same snapshot bytes, integrate the same goodput, and
+// have made the same promote/demote and SetBackground calls in the same
+// order.
 func TestFluidTickMatchesReference(t *testing.T) {
 	const ticks = 3000
 	type row struct {

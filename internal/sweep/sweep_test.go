@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -113,6 +114,138 @@ func TestMapNestedNoDeadlock(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("nested Map deadlocked")
+	}
+}
+
+// TestMapNestedSaturatedPool: every pool worker and the caller run an
+// outer cell whose fn runs an inner Map, so each inner call queues a
+// helper that no free worker will ever start. The inner caller must not
+// wait for it. The outer batch is sized from GOMAXPROCS, so the pool is
+// saturated at any GOMAXPROCS, and a regression fails by timeout instead
+// of hanging the test binary.
+func TestMapNestedSaturatedPool(t *testing.T) {
+	outer := 2*runtime.GOMAXPROCS(0) + 2
+	done := make(chan []int, 1)
+	go func() {
+		done <- Map(outer, outer, func(i int) int {
+			sum := 0
+			for _, v := range Map(4, 2, func(j int) int { return i*4 + j }) {
+				sum += v
+			}
+			return sum
+		})
+	}()
+	select {
+	case out := <-done:
+		for i, v := range out {
+			if want := 16*i + 6; v != want {
+				t.Fatalf("out[%d] = %d, want %d", i, v, want)
+			}
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("nested Map on a saturated pool did not return within 10 s")
+	}
+}
+
+// TestBatchSlots: each index runs exactly once, slots stay within
+// [0, workers), and a slot is never held by two participants at once, so
+// per-slot accumulators need no synchronization. Reusing one Batch for
+// many runs, at shrinking and growing worker counts, keeps all of it.
+func TestBatchSlots(t *testing.T) {
+	var b Batch
+	for run := 0; run < 200; run++ {
+		n, workers := 1+run%37, 1+run%9
+		var hits [37]atomic.Int32
+		var busy [9]atomic.Int32
+		b.Run(n, workers, func(slot, i int) {
+			if slot < 0 || slot >= workers {
+				t.Errorf("run %d: slot %d outside [0, %d)", run, slot, workers)
+				return
+			}
+			if busy[slot].Add(1) != 1 {
+				t.Errorf("run %d: slot %d held by two participants", run, slot)
+			}
+			hits[i].Add(1)
+			busy[slot].Add(-1)
+		})
+		for i := range hits {
+			if want := int32(0); i < n {
+				want = 1
+				if got := hits[i].Load(); got != want {
+					t.Fatalf("run %d: index %d ran %d times, want %d", run, i, got, want)
+				}
+			} else if got := hits[i].Load(); got != want {
+				t.Fatalf("run %d: index %d beyond n=%d ran", run, i, n)
+			}
+		}
+	}
+}
+
+// TestBatchLateHelperLeaves: with every pool worker busy, a batch runs
+// on its caller alone and returns; the workers that wake up later do not
+// find it, so its body never runs after Run returned.
+func TestBatchLateHelperLeaves(t *testing.T) {
+	// Occupy every pool worker: each participant of this batch blocks
+	// in its one index until release.
+	release := make(chan struct{})
+	var started sync.WaitGroup
+	started.Add(Workers() + 1)
+	blockers := make(chan struct{})
+	go func() {
+		var b Batch
+		b.Run(Workers()+1, Workers()+1, func(int, int) {
+			started.Done()
+			<-release
+		})
+		close(blockers)
+	}()
+	waitOrFail(t, &started)
+
+	var b Batch
+	var calls, helped atomic.Int32
+	b.Run(16, 4, func(slot, _ int) {
+		calls.Add(1)
+		if slot != 0 {
+			helped.Add(1)
+		}
+	})
+	if calls.Load() != 16 || helped.Load() != 0 {
+		t.Fatalf("saturated pool: %d calls, %d on helpers; want 16 on the caller", calls.Load(), helped.Load())
+	}
+	close(release)
+	<-blockers
+	Map(8, Workers(), func(i int) int { return i }) // the woken workers drain
+	if calls.Load() != 16 {
+		t.Fatalf("body ran %d times after Run returned", calls.Load()-16)
+	}
+	poolMu.Lock()
+	defer poolMu.Unlock()
+	if len(open) != 0 {
+		t.Fatalf("%d batches still open", len(open))
+	}
+}
+
+// waitOrFail waits for wg, failing the test after 10 s.
+func waitOrFail(t *testing.T, wg *sync.WaitGroup) {
+	t.Helper()
+	ok := make(chan struct{})
+	go func() { wg.Wait(); close(ok) }()
+	select {
+	case <-ok:
+	case <-time.After(10 * time.Second):
+		t.Fatal("pool workers never started")
+	}
+}
+
+// TestBatchZeroAlloc: a reused Batch allocates nothing per Run, with
+// helpers recruited from the pool.
+func TestBatchZeroAlloc(t *testing.T) {
+	var b Batch
+	var sum [64]int64
+	body := func(slot, i int) { sum[slot] += int64(i) }
+	b.Run(64, 4, body)
+	if allocs := testing.AllocsPerRun(200, func() { b.Run(64, 4, body) }); allocs != 0 {
+		t.Fatalf("Batch.Run allocates %.1f per call after the first; want 0", allocs)
 	}
 }
 

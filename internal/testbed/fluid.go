@@ -52,8 +52,8 @@ func (f FluidBackground) validate(mtu int) error {
 	if f.Hosts < 2 {
 		return fmt.Errorf("testbed: FluidBackground.Hosts %d (need at least 2)", f.Hosts)
 	}
-	if f.Flows <= 0 {
-		return fmt.Errorf("testbed: FluidBackground.Flows %d must be positive", f.Flows)
+	if f.Flows <= 0 || f.Flows > fluid.MaxFlows {
+		return fmt.Errorf("testbed: FluidBackground.Flows %d outside [1, %d]", f.Flows, fluid.MaxFlows)
 	}
 	if f.Promotable < 0 || f.Promotable > f.Flows {
 		return fmt.Errorf("testbed: FluidBackground.Promotable %d outside [0, Flows=%d]", f.Promotable, f.Flows)

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/fluid"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -358,6 +359,12 @@ func TestNewValidatesSerial(t *testing.T) {
 		{"negative-flows", func(o *Config) { o.Flows = -1 }},
 		{"fluid-rtt-window-overflow", func(o *Config) {
 			o.FluidBackground = &FluidBackground{Hosts: 2, Tick: sim.Nanosecond, RTT: 65536 * sim.Nanosecond}
+		}},
+		{"fluid-flows-above-bound", func(o *Config) {
+			o.FluidBackground = &FluidBackground{Hosts: 2, Flows: fluid.MaxFlows + 1}
+		}},
+		{"fluid-nan-init-rate", func(o *Config) {
+			o.FluidBackground = &FluidBackground{Hosts: 2, InitRate: sim.Rate(math.NaN())}
 		}},
 		{"infinite-degree", func(o *Config) { o.Degree = math.Inf(1) }},
 		{"signal-weight-above-one", func(o *Config) { o.SignalWeightIS = 5 }},
