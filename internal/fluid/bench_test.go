@@ -6,6 +6,7 @@ import (
 	"unsafe"
 
 	"repro/internal/sim"
+	"repro/internal/snapshot"
 )
 
 // leafSpine builds the fluid-1m benchmark workload's population shape
@@ -66,6 +67,29 @@ func BenchmarkFluidTick(b *testing.B) {
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(flows), "ns/flow-tick")
 			})
 		}
+	}
+}
+
+// BenchmarkFluidDigest times a registry digest of the 1M-flow population
+// after 100 ticks, with the chunk digests on one and on two
+// participants, and reports the cost per flow.
+func BenchmarkFluidDigest(b *testing.B) {
+	const flows = 1_000_000
+	net := leafSpine(flows)
+	run(net, 100)
+	reg := snapshot.NewRegistry()
+	reg.Register("fluid", net)
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("flows=%d/participants=%d", flows, workers), func(b *testing.B) {
+			net.workers = workers
+			reg.Digests() // sizes the per-participant scratch
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				reg.Digests()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/flows, "ns/flow")
+		})
 	}
 }
 

@@ -10,7 +10,7 @@
 // congestion-control twin once per model RTT, and sums the next tick's
 // demand and the tick's served rate as it goes. The pass runs over
 // fixed chunks of the flow table on the caller and helpers from the
-// shared sweep pool.
+// shared sweep pool, and Snapshot hashes the flow table the same way.
 //
 // Conservation at the seam runs through fabric.FluidTap (the Seam
 // interface here): the integrator reads the packet bytes offered to a
@@ -275,22 +275,26 @@ type Network struct {
 	promote func(i int, rate sim.Rate)
 	demote  func(i int) sim.Rate
 
-	// The chunked flow pass. workers is the participant count (0 selects
-	// one per pool worker) and chunk the flows per chunk (chunkFlows);
-	// no result depends on either, and only tests change them.
+	// The chunked flow pass and snapshot. workers is the participant
+	// count (0 selects one per pool worker) and chunk the flows per chunk
+	// of the pass (chunkFlows); no result depends on either, and only
+	// tests change them. Snapshot always hashes chunks of chunkFlows.
 	workers, chunk int
 	batch          sweep.Batch
 	pass           func(slot, c int) // passChunk, bound once
+	hash           func(slot, c int) // hashChunk, bound once
 	parts          []part            // per participant slot
 	events         [][]int32         // per chunk, in flow order
+	sums           []uint64          // per chunk digest (Snapshot)
 }
 
-// part is one pass participant's accumulators. Slot 0 is the caller,
-// whose demand is the network's own array.
+// part is one participant's scratch. Slot 0 is the caller, whose demand
+// is the network's own array.
 type part struct {
-	demand []int64
-	served int64 // Σ rate × served fraction, rate units
-	used   bool  // claimed a chunk this tick
+	demand  []int64
+	served  int64  // Σ rate × served fraction, rate units
+	used    bool   // claimed a chunk this tick
+	records []byte // one chunk's encoded flow records (Snapshot)
 }
 
 // New creates an empty network. Panics on an invalid config (build-time
@@ -305,7 +309,7 @@ func New(cfg Config) *Network {
 	n := &Network{cfg: cfg, cc: cc, windowTicks: uint16(cfg.windowTicks()),
 		unit: math.Ldexp(1, e-17), scale: math.Ldexp(1, 17-e), maxRate: math.Ldexp(unitCap, e-17),
 		chunk: chunkFlows}
-	n.pass = n.passChunk
+	n.pass, n.hash = n.passChunk, n.hashChunk
 	return n
 }
 
@@ -499,11 +503,7 @@ func (n *Network) Tick(_ sim.Time) {
 	}
 
 	chunks := (len(n.flows) + n.chunk - 1) / n.chunk
-	workers := n.workers
-	if workers <= 0 {
-		workers = sweep.Workers()
-	}
-	workers = max(min(workers, chunks), 1)
+	workers := n.participants(chunks)
 	n.preparePass(workers, chunks)
 	n.batch.Run(chunks, workers, n.pass)
 
@@ -537,13 +537,28 @@ func (n *Network) Tick(_ sim.Time) {
 	}
 }
 
+// participants is how many take part in a loop over chunks chunks:
+// n.workers, or one per pool worker, and at most one per chunk.
+func (n *Network) participants(chunks int) int {
+	workers := n.workers
+	if workers <= 0 {
+		workers = sweep.Workers()
+	}
+	return max(min(workers, chunks), 1)
+}
+
+// growParts makes room for workers participants' scratch.
+func (n *Network) growParts(workers int) {
+	if len(n.parts) < workers {
+		n.parts = append(n.parts, make([]part, workers-len(n.parts))...)
+	}
+}
+
 // preparePass sizes the per-participant accumulators and the per-chunk
 // event lists; it allocates only when the participants, resources or
 // flows have grown.
 func (n *Network) preparePass(workers, chunks int) {
-	if len(n.parts) < workers {
-		n.parts = append(n.parts, make([]part, workers-len(n.parts))...)
-	}
+	n.growParts(workers)
 	n.parts[0].demand = n.demand
 	for w := 1; w < workers; w++ {
 		if p := &n.parts[w]; len(p.demand) < len(n.res) {

@@ -2,6 +2,8 @@ package fluid
 
 import (
 	"bytes"
+	"cmp"
+	"encoding/binary"
 	"math"
 	"slices"
 	"testing"
@@ -269,10 +271,13 @@ func (n *refNetwork) tick() {
 	n.delivered += float64(float64(served) * n.unit * dt)
 }
 
-// snapshot encodes the reference in the fluid tier's version-1 layout
-// (Network.Snapshot), so the two integrators compare byte for byte.
+// snapshot encodes the reference in the fluid tier's version-2 layout
+// (Network.Snapshot) by itself, so the two integrators compare byte for
+// byte: the counters, every resource's queue and fault bit, the flow
+// count, then per chunk of 4,096 flows the FNV-1a hash
+// (snapshot.HashBytes) of the chunk's 27-byte flow records.
 func (n *refNetwork) snapshot(enc *snapshot.Encoder) {
-	enc.U32(1)
+	enc.U32(2)
 	enc.U64(n.ticks)
 	enc.U64(n.promotions)
 	enc.U64(n.demotions)
@@ -283,16 +288,19 @@ func (n *refNetwork) snapshot(enc *snapshot.Encoder) {
 		enc.Bool(n.res[i].faulted)
 	}
 	enc.Int(len(n.flows))
-	for i := range n.flows {
-		f := &n.flows[i]
-		enc.U32(uint32(f.state))
-		enc.U32(uint32(f.winLeft))
-		enc.U32(uint32(f.markedTicks))
-		enc.U32(uint32(f.lossTicks))
-		enc.U32(uint32(f.congTicks))
-		enc.U32(uint32(f.calmTicks))
-		enc.F64(f.rate)
-		enc.F64(f.alpha)
+	const chunk = 4096
+	var rec []byte
+	for lo := 0; lo < len(n.flows); lo += chunk {
+		rec = rec[:0]
+		for _, f := range n.flows[lo:min(lo+chunk, len(n.flows))] {
+			rec = append(rec, f.state)
+			for _, c := range [...]uint16{f.winLeft, f.markedTicks, f.lossTicks, f.congTicks, f.calmTicks} {
+				rec = binary.LittleEndian.AppendUint16(rec, c)
+			}
+			rec = binary.LittleEndian.AppendUint64(rec, math.Float64bits(f.rate))
+			rec = binary.LittleEndian.AppendUint64(rec, math.Float64bits(f.alpha))
+		}
+		enc.U64(snapshot.HashBytes(rec))
 	}
 }
 
@@ -411,10 +419,10 @@ func (p *tickPair) mixedFlows(rs []ResourceID, count int) {
 // have made the same promote/demote and SetBackground calls in the same
 // order.
 func TestFluidTickMatchesReference(t *testing.T) {
-	const ticks = 3000
 	type row struct {
 		name   string
 		cfg    Config
+		ticks  int // default 3000
 		build  func(p *tickPair) []ResourceID
 		script func(p *tickPair, rs []ResourceID, tick int) // before each tick
 		// check asserts the row did what it names; seen ORs every view
@@ -549,6 +557,35 @@ func TestFluidTickMatchesReference(t *testing.T) {
 					t.Fatalf("%d flows, want 220", n.Flows())
 				}
 			}},
+		// Two full snapshot chunks and a partial third, with promotable
+		// flows in each, so the chunk digests are compared across a
+		// chunk boundary and over a partial last chunk after every tick.
+		{name: "two chunks and a partial one", cfg: hysteresis, ticks: 400,
+			build: func(p *tickPair) []ResourceID {
+				rs := links(p, 7, 1<<20)
+				p.bindSeam(rs[0], 5)
+				p.mixedFlows(rs, 2*4096+17)
+				for i := 0; i < 2*4096+17; i += 97 {
+					p.setPromotable(i)
+				}
+				p.setPromotable(2*4096 + 16)
+				p.setHooks()
+				return rs
+			},
+			script: func(p *tickPair, rs []ResourceID, tick int) {
+				switch tick {
+				case 100:
+					p.setFault(rs[3], true)
+				case 150:
+					p.setFault(rs[3], false)
+				}
+			},
+			check: func(t *testing.T, n *Network, seen uint8) {
+				if n.Flows() != 2*4096+17 || n.Promotions() == 0 || seen&vLossy == 0 {
+					t.Fatalf("%d flows, %d promotions, view bits %04b: want 8209 flows, promotions and loss",
+						n.Flows(), n.Promotions(), seen)
+				}
+			}},
 	}
 	for _, tc := range rows {
 		t.Run(tc.name, func(t *testing.T) {
@@ -556,6 +593,7 @@ func TestFluidTickMatchesReference(t *testing.T) {
 			rs := tc.build(p)
 			var got, want snapshot.Encoder
 			var seen uint8
+			ticks := cmp.Or(tc.ticks, 3000)
 			for tick := 0; tick < ticks; tick++ {
 				if tc.script != nil {
 					tc.script(p, rs, tick)

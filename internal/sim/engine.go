@@ -513,23 +513,25 @@ func (e *Engine) Run() {
 }
 
 // RunUntil executes events with timestamps <= deadline, then sets the clock
-// to the deadline (even if the queue still holds later events).
+// to the deadline (even if the queue still holds later events). After a
+// Stop the clock stays at the stopping event, so the events queued
+// between it and the deadline can still run.
 func (e *Engine) RunUntil(deadline Time) {
 	e.stopped = false
 	for !e.stopped && e.stepBy(deadline) {
 	}
+	if e.stopped {
+		return
+	}
 	if e.now < deadline {
 		e.now = deadline
 	}
-	if !e.stopped {
-		e.reached(deadline)
-	}
+	e.reached(deadline)
 }
 
 // reached records that every event due by t has run, so lazy items due
-// by t are due too. A Stop keeps the last event's key instead: RunUntil
-// still moves the clock, but the events after the stopping one have not
-// run.
+// by t are due too. A Stop keeps the last event's key instead, and the
+// clock with it: the events after the stopping one have not run.
 func (e *Engine) reached(t Time) {
 	if t >= e.keyAt {
 		e.keyAt, e.keySeq = t, math.MaxUint64

@@ -146,9 +146,36 @@ func TestEngineStop(t *testing.T) {
 	}
 }
 
+// TestEngineRunUntilAfterStop: a Stop under RunUntil leaves the clock at
+// the stopping event, so the events queued between it and the deadline
+// still run: Step runs the one at 7, and a later RunUntil(10) reaches 10.
+func TestEngineRunUntilAfterStop(t *testing.T) {
+	e := NewEngine(1)
+	var ran []Time
+	h := e.Handler(func(stop, _ uint64) {
+		ran = append(ran, e.Now())
+		if stop != 0 {
+			e.Stop()
+		}
+	})
+	e.Schedule(5, h, 1, 0)
+	e.Schedule(7, h, 0, 0)
+	e.RunUntil(10)
+	if e.Now() != 5 {
+		t.Fatalf("after a Stop at 5 under RunUntil(10): now %v, want 5", e.Now())
+	}
+	if !e.Step() || e.Now() != 7 {
+		t.Fatalf("Step after the Stop: now %v, want the event at 7 to run", e.Now())
+	}
+	e.RunUntil(10)
+	if e.Now() != 10 || !slices.Equal(ran, []Time{5, 7}) {
+		t.Fatalf("now %v with events at %v, want 10 with events at [5 7]", e.Now(), ran)
+	}
+}
+
 // TestEngineKey: Key is the running event's key inside a handler, the
-// last event's after Step or a Stop (even once RunUntil has moved the
-// clock past it), and (now, MaxUint64) once a run has reached now.
+// last event's after Step or a Stop (where a Stop under RunUntil also
+// leaves the clock), and (now, MaxUint64) once a run has reached now.
 func TestEngineKey(t *testing.T) {
 	e := NewEngine(1)
 	type key struct {
@@ -176,8 +203,8 @@ func TestEngineKey(t *testing.T) {
 	if want := []key{{5, 1}, {5, 2}}; !slices.Equal(inside, want) {
 		t.Fatalf("keys inside handlers %v, want %v", inside, want)
 	}
-	if got := k(); got != (key{5, 2}) || e.Now() != 10 {
-		t.Fatalf("after a Stop under RunUntil: key %v at now %v, want the stopping event's key at 10", got, e.Now())
+	if got := k(); got != (key{5, 2}) || e.Now() != 5 {
+		t.Fatalf("after a Stop under RunUntil: key %v at now %v, want the stopping event's key at 5", got, e.Now())
 	}
 	e.Step()
 	if got := k(); got != (key{17, 3}) {

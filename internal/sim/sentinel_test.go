@@ -158,9 +158,10 @@ func TestSentinelDetectsStall(t *testing.T) {
 	if gotReport.Class != StallDeadlock || len(gotReport.Cycle) != 2 {
 		t.Errorf("class = %v cycle = %v", gotReport.Class, gotReport.Cycle)
 	}
-	// Abort policy must have stopped the engine at detection time.
-	if e.Now() != 1000 {
-		t.Errorf("now = %v, want 1000 after RunUntil completes the clock", e.Now())
+	// Abort policy must have stopped the engine at detection time, and
+	// RunUntil leaves the clock there.
+	if e.Now() != gotReport.DetectedAt {
+		t.Errorf("now = %v, want the detection time %v", e.Now(), gotReport.DetectedAt)
 	}
 	if s.Stalls != 1 {
 		t.Errorf("stalls = %d, want 1 (sentinel stops after abort)", s.Stalls)

@@ -22,8 +22,8 @@ import (
 // (deep queue, overflow loss, or a fault window) and demoted back once
 // it calms.
 type FluidBackground struct {
-	// Hosts is the virtual background host count (≥ 2), placed
-	// round-robin across the topology's racks.
+	// Hosts is the virtual background host count, in [2,
+	// fluid.MaxFlows], placed round-robin across the topology's racks.
 	Hosts int
 	// Flows is the background flow count (default 4 × Hosts). Flow j
 	// runs virtual host j%Hosts → a deterministically strided peer.
@@ -49,8 +49,8 @@ func (f FluidBackground) withDefaults() FluidBackground {
 
 func (f FluidBackground) validate(mtu int) error {
 	f = f.withDefaults()
-	if f.Hosts < 2 {
-		return fmt.Errorf("testbed: FluidBackground.Hosts %d (need at least 2)", f.Hosts)
+	if f.Hosts < 2 || f.Hosts > fluid.MaxFlows {
+		return fmt.Errorf("testbed: FluidBackground.Hosts %d outside [2, %d]", f.Hosts, fluid.MaxFlows)
 	}
 	if f.Flows <= 0 || f.Flows > fluid.MaxFlows {
 		return fmt.Errorf("testbed: FluidBackground.Flows %d outside [1, %d]", f.Flows, fluid.MaxFlows)

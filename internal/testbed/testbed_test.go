@@ -363,6 +363,9 @@ func TestNewValidatesSerial(t *testing.T) {
 		{"fluid-flows-above-bound", func(o *Config) {
 			o.FluidBackground = &FluidBackground{Hosts: 2, Flows: fluid.MaxFlows + 1}
 		}},
+		{"fluid-hosts-above-bound", func(o *Config) {
+			o.FluidBackground = &FluidBackground{Hosts: fluid.MaxFlows + 1, Flows: 8}
+		}},
 		{"fluid-nan-init-rate", func(o *Config) {
 			o.FluidBackground = &FluidBackground{Hosts: 2, InitRate: sim.Rate(math.NaN())}
 		}},
