@@ -19,9 +19,9 @@
 #                   then the zero-alloc guards (engine, memory
 #                   controller, ring, packet pool, two-host datapath,
 #                   telemetry, the fluid tick with pass helpers and the
-#                   fluid snapshot's chunk digests, the sweep batch, and
-#                   the whole host-bound testbed with 3x MApp and hostCC)
-#                   must hold
+#                   fluid snapshot's chunk digests, the registry digest's
+#                   kept buffer, the sweep batch, and the whole host-bound
+#                   testbed with 3x MApp and hostCC) must hold
 #   make api-compat build + vet the examples module against the public
 #                   API only (fails if an internal type leaks)
 #   make telemetry-overhead
@@ -195,7 +195,7 @@ bench:
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkEngine|BenchmarkDatapath' -benchtime=1x 		-benchmem -count=1 -json ./internal/sim/ ./internal/host/ . > /tmp/bench_smoke.json
 	$(GO) test -run '^$$' -bench 'BenchmarkFluid|BenchmarkRegistryDigests' -benchtime=1x 		-benchmem -count=1 ./internal/fluid/ ./internal/snapshot/
-	$(GO) test ./internal/sim/ ./internal/mem/ ./internal/ring/ ./internal/packet/ ./internal/host/ ./internal/telemetry/ ./internal/testbed/ 		./internal/fluid/ ./internal/sweep/ -run 'ZeroAlloc|NoAlloc' -count=1 -v | grep -E '^(=== RUN|--- |ok|FAIL)'
+	$(GO) test ./internal/sim/ ./internal/mem/ ./internal/ring/ ./internal/packet/ ./internal/host/ ./internal/telemetry/ ./internal/testbed/ 		./internal/fluid/ ./internal/snapshot/ ./internal/sweep/ -run 'ZeroAlloc|NoAlloc' -count=1 -v | grep -E '^(=== RUN|--- |ok|FAIL)'
 
 # API-compat gate: examples/ is a separate module that can only see the
 # repo's exported API, so building it fails the moment a public signature

@@ -7,10 +7,11 @@
 // shared queue against its demand and the capacity left by the packet
 // tier and marks above the ECN threshold; then one pass over the flows
 // reads each path's outcome, advances every flow's rate by its
-// congestion-control twin once per model RTT, and sums the next tick's
-// demand and the tick's served rate as it goes. The pass runs over
-// fixed chunks of the flow table on the caller and helpers from the
-// shared sweep pool, and Snapshot hashes the flow table the same way.
+// congestion-control twin once per model RTT, and sums the served rate
+// and the changes a flow makes to its hops' kept demand. The
+// pass runs over fixed chunks of the flow table on the caller and
+// helpers from the shared sweep pool, and Snapshot hashes the flow
+// table the same way.
 //
 // Conservation at the seam runs through fabric.FluidTap (the Seam
 // interface here): the integrator reads the packet bytes offered to a
@@ -174,9 +175,11 @@ const maxHops = 4
 // more than 2^21 × MinRate (2.2 Tbps at the default), and a network
 // holds at most MaxFlows flows. A resource's demand sums at most maxHops
 // contributions per flow, so no sum exceeds
-// maxHops × MaxFlows × unitCap = 2^62. The served rate takes each
-// contribution times the path's served fraction in fracBits fixed point,
-// which stays below 2^62 per flow and sums to no more than demand does.
+// maxHops × MaxFlows × unitCap = 2^62; kept demand changes by per-flow
+// deltas, so every value on the way is such a sum, or a participant's
+// difference of two. The served rate takes each contribution times the
+// path's served fraction in fracBits fixed point, which stays below
+// 2^62 per flow and sums to no more than demand does.
 const (
 	MaxFlows = 1 << 22
 	unitCap  = 1 << 38
@@ -261,10 +264,10 @@ type Network struct {
 	// inverse, both powers of two; maxRate is unitCap units.
 	unit, scale, maxRate float64
 
-	// demand[r] is the next tick's Σ rate over the demoted flows
-	// crossing resource r, in rate units: added by the flow pass of the
-	// previous tick (each flow's post-response rate), by a demotion's
-	// hook and by AddFlow.
+	// demand[r] is Σ units(rate) over the demoted flows crossing
+	// resource r, one term per hop. It is kept, not rebuilt: AddFlow and
+	// a demotion add a flow's units, and the flow pass adds the change a
+	// window's response makes and takes a promoting flow's units out.
 	demand []int64
 
 	ticks      uint64
@@ -288,8 +291,8 @@ type Network struct {
 	sums           []uint64          // per chunk digest (Snapshot)
 }
 
-// part is one participant's scratch. Slot 0 is the caller, whose demand
-// is the network's own array.
+// part is one participant's scratch. Slot 0 is the caller, which
+// changes the network's demand in place; helpers collect theirs here.
 type part struct {
 	demand  []int64
 	served  int64  // Σ rate × served fraction, rate units
@@ -433,13 +436,13 @@ func (n *Network) Register(c *sim.CoarseClock) {
 // Tick advances the network by one integration step. Exported for
 // direct-drive tests; in a testbed the coarse clock calls it.
 //
-// One pass over the flows per tick: each demoted flow adds its
-// post-response rate to the next tick's demand as it goes, so there is
-// no separate demand pass. The pass runs chunk by chunk on several
-// participants, each summing demand and served rate into its own
-// integer accumulators, which Tick then merges; integer addition is
-// associative, so every result is the same at any participant count.
-// Promote and demote hooks fire after the merge, in flow order.
+// One pass over the flows per tick. Demand is kept from the previous
+// tick, so only a flow whose rate or state changes touches it. The pass
+// runs chunk by chunk on several participants, each summing its served
+// rate and its changes to demand into its own integer accumulators,
+// which Tick then merges; integer addition is associative, so every
+// result is the same at any participant count. Promote and demote hooks
+// fire after the merge, in flow order.
 func (n *Network) Tick(_ sim.Time) {
 	n.ticks++
 	dt := n.cfg.Tick.Seconds()
@@ -453,8 +456,7 @@ func (n *Network) Tick(_ sim.Time) {
 	// counters already account for, so they are not in demand.
 	for i := range n.res {
 		r := &n.res[i]
-		d := float64(demand[i]) * n.unit
-		demand[i] = 0 // refilled by this tick's flow pass
+		d := float64(float64(demand[i]) * n.unit)
 		capLeft := r.cap
 		if r.seam != nil {
 			capLeft -= float64(r.seam.TakePacketBytes()) / dt
@@ -570,12 +572,13 @@ func (n *Network) preparePass(workers, chunks int) {
 	}
 }
 
-// passChunk is one participant's pass over chunk c: flow response, the
-// served rate, and the next tick's demand into the participant's own
+// passChunk is one participant's pass over chunk c: flow response, and
+// the served rate and changes to demand into the participant's own
 // accumulators. A path's unused hops repeat its last hop, so reading all
 // maxHops views changes neither the OR of the bits nor the minimum
 // served fraction. A flow's served rate is its rate before the window's
-// response; its demand, the rate after.
+// response; its demand changes by the difference the response made, or
+// loses the flow's units if it promotes.
 func (n *Network) passChunk(slot, c int) {
 	p := &n.parts[slot]
 	lo := c * n.chunk
@@ -597,30 +600,27 @@ func (n *Network) passChunk(slot, c int) {
 		f.markedTicks += uint16(bits & vMarked)   // bit 0
 		f.lossTicks += uint16(bits & vLossy >> 1) // bit 1
 		f.winLeft--
+		var du int64 // change to each hop's demand
 		if f.winLeft == 0 {
-			n.endWindow(f)
-			u = units(f.rate, scale)
+			mf := float64(f.markedTicks) / float64(n.windowTicks)
+			lf := float64(f.lossTicks) / float64(n.windowTicks)
+			f.rate, f.alpha = n.cc.Advance(f.rate, f.alpha, mf, lf)
+			f.rate = n.boundRate(f.rate)
+			f.winLeft, f.markedTicks, f.lossTicks = n.windowTicks, 0, 0
+			du = units(f.rate, scale) - u
 		}
 		if f.state&stPromotable != 0 && n.hotToPromote(f, bits) {
 			n.events[c] = append(n.events[c], int32(lo+j)<<1)
-			continue
+			du = -u
 		}
-		for _, r := range f.path[:f.npath] {
-			demand[r] += u
+		if du != 0 {
+			for _, r := range f.path[:f.npath] {
+				demand[r] += du
+			}
 		}
 	}
 	p.served += served
 	p.used = true
-}
-
-// endWindow advances f's rate through the congestion-control twin at
-// the end of an RTT window and starts the next window.
-func (n *Network) endWindow(f *flow) {
-	mf := float64(f.markedTicks) / float64(n.windowTicks)
-	lf := float64(f.lossTicks) / float64(n.windowTicks)
-	f.rate, f.alpha = n.cc.Advance(f.rate, f.alpha, mf, lf)
-	f.rate = n.boundRate(f.rate)
-	f.winLeft, f.markedTicks, f.lossTicks = n.windowTicks, 0, 0
 }
 
 // hotToPromote ticks a demoted promotable flow's hysteresis counters

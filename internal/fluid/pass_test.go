@@ -49,7 +49,8 @@ func (r *passRun) snapshot() []byte {
 
 // diff reports how r differs from want after the same script, or ""
 // when snapshot bytes, goodput bits, next-tick demand and the call log
-// all match. withSnapshot false skips the snapshot bytes.
+// all match and r's kept demand is the one its flows add up to.
+// withSnapshot false skips the snapshot bytes.
 func (r *passRun) diff(want *passRun, withSnapshot bool) string {
 	switch {
 	case withSnapshot && !bytes.Equal(r.snapshot(), want.snapshot()):
@@ -58,10 +59,29 @@ func (r *passRun) diff(want *passRun, withSnapshot bool) string {
 		return fmt.Sprintf("delivered %v, want %v", r.net.DeliveredBytes(), want.net.DeliveredBytes())
 	case !slices.Equal(r.net.demand, want.net.demand):
 		return "next-tick demand differs"
+	case !slices.Equal(r.net.demand, flowDemand(r.net)):
+		return "kept demand differs from the flows' sum"
 	case !slices.Equal(r.log, want.log):
 		return fmt.Sprintf("call log differs: %d calls, want %d", len(r.log), len(want.log))
 	}
 	return ""
+}
+
+// flowDemand recomputes every resource's demand from the flows: the sum
+// of units(rate) over path[:npath] of each demoted flow, a hop counted
+// as often as the path repeats it.
+func flowDemand(n *Network) []int64 {
+	demand := make([]int64, len(n.res))
+	for i := range n.flows {
+		f := &n.flows[i]
+		if f.state&stPromoted != 0 {
+			continue
+		}
+		for _, r := range f.path[:f.npath] {
+			demand[r] += units(f.rate, n.scale)
+		}
+	}
+	return demand
 }
 
 // passScenario is the invariance script: six resources of 10–20 Gbps,
@@ -122,7 +142,8 @@ func (s *passScenario) step(r *passRun, tick int) {
 // promote → demote hooks, AddFlow after ticking) and, after every tick,
 // encode the same snapshot bytes, integrate the same goodput, hold the
 // same next-tick demand and have made the same calls in the same order
-// as a serial network at the production chunk size.
+// as a serial network at the production chunk size; each one's kept
+// demand is the sum its flows give.
 func TestFluidPassWorkerInvariance(t *testing.T) {
 	cfg := testConfig()
 	cfg.PromoteTicks, cfg.DemoteTicks = 3, 20
@@ -239,7 +260,8 @@ func TestFluidSaturatedRates(t *testing.T) {
 // SetPromotable and Tick — into a serial network at the production chunk
 // size and a 4-participant network over 3-flow chunks, and fails on the
 // first tick after which the two differ in snapshot bytes, goodput,
-// next-tick demand or the call log.
+// next-tick demand or the call log, or the kept demand differs from the
+// sum the flows give.
 func FuzzFluidPass(f *testing.F) {
 	f.Fuzz(func(t *testing.T, script []byte) {
 		cfg := testConfig()

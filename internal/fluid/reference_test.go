@@ -440,6 +440,11 @@ func TestFluidTickMatchesReference(t *testing.T) {
 	reno.Scheme = "reno"
 	hysteresis := testConfig()
 	hysteresis.PromoteTicks, hysteresis.DemoteTicks = 3, 20
+	capped := hysteresis
+	capped.InitRate = sim.Gbps(1e6) // above the rate cap
+	// windowEndPromotions counts, before each tick of the "rates held"
+	// row, the flows that promote in the tick their window ends.
+	var windowEndPromotions int
 	rows := []row{
 		{name: "dctcp", cfg: testConfig(),
 			build: func(p *tickPair) []ResourceID {
@@ -555,6 +560,59 @@ func TestFluidTickMatchesReference(t *testing.T) {
 			check: func(t *testing.T, n *Network, _ uint8) {
 				if n.Flows() != 220 {
 					t.Fatalf("%d flows, want 220", n.Flows())
+				}
+			}},
+		// Flows whose rates stop moving: 40 flows on a 10 Mbps link fall
+		// from the cap to MinRate and stay there, and 30 flows on a
+		// 1e12 Gbps link hold the cap; every tenth of the latter is
+		// promotable, and fault windows starting at ticks of each phase
+		// modulo the 3-tick RTT window promote some of them in the tick
+		// their window ends.
+		{name: "rates held at MinRate and the cap", cfg: capped,
+			build: func(p *tickPair) []ResourceID {
+				rs := []ResourceID{
+					p.addResource(sim.Gbps(0.01), 160*1024, 80*1024),
+					p.addResource(sim.Gbps(1e12), 1<<20, 80*1024),
+				}
+				for i := 0; i < 40; i++ {
+					p.addFlow(rs[0])
+				}
+				for i := 0; i < 30; i++ {
+					if f := p.addFlow(rs[1]); i%10 == 0 {
+						p.setPromotable(f)
+					}
+				}
+				p.setHooks()
+				return rs
+			},
+			script: func(p *tickPair, rs []ResourceID, tick int) {
+				switch tick {
+				case 300, 1001, 1702:
+					p.setFault(rs[1], true)
+				case 400, 1100, 1800:
+					p.setFault(rs[1], false)
+				}
+				for i := range p.net.flows {
+					f := &p.net.flows[i]
+					if p.net.res[rs[1]].faulted && f.state == stPromotable && f.winLeft == 1 &&
+						int(f.congTicks) == p.net.cfg.PromoteTicks-1 {
+						windowEndPromotions++
+					}
+				}
+			},
+			check: func(t *testing.T, n *Network, _ uint8) {
+				var atMin, atCap int
+				for i := range n.flows {
+					switch n.flows[i].rate {
+					case float64(n.cfg.MinRate):
+						atMin++
+					case n.maxRate:
+						atCap++
+					}
+				}
+				if atMin != 40 || atCap < 27 || windowEndPromotions == 0 {
+					t.Fatalf("%d flows at MinRate, %d at the cap, %d promoted as their window ended: want 40, at least 27, some",
+						atMin, atCap, windowEndPromotions)
 				}
 			}},
 		// Two full snapshot chunks and a partial third, with promotable

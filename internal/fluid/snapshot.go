@@ -20,11 +20,11 @@ const recordBytes = 1 + 5*2 + 2*8
 // Snapshot encodes the network's evolving state: tick and transition
 // counters, the integrated goodput, per-resource queue/fault state, the
 // flow count, and then one u64 per chunk of chunkFlows flows, in chunk
-// order: snapshot.HashBytes of the chunk's flow records. Demand/served/
-// mark scratch recomputed every tick is not state and is skipped. Shapes
-// (resource parameters, flow paths) come from construction; only the
-// resource and flow counts are encoded, so differently shaped networks
-// never digest alike.
+// order: snapshot.HashBytes of the chunk's flow records. Kept demand
+// derives from the flows' rates and states and the views are recomputed
+// every tick, so neither is encoded. Shapes (resource parameters, flow
+// paths) come from construction; only the resource and flow counts are
+// encoded, so differently shaped networks never digest alike.
 //
 // The chunks are encoded and hashed by the caller and helpers from the
 // sweep pool, like the flow pass (and on the same Batch, so Snapshot

@@ -33,6 +33,10 @@ type Digest struct {
 type Registry struct {
 	names  []string
 	byName map[string]Snapshotter
+
+	// hasher is the digest-mode encoder Digests streams every component
+	// through, kept so that its buffer grows once per registry.
+	hasher Encoder
 }
 
 // NewRegistry returns an empty registry.
@@ -111,14 +115,17 @@ func fnv1a(h uint64, b []byte) uint64 {
 func HashBytes(b []byte) uint64 { return fnv1a(fnvOffset64, b) }
 
 // Digests hashes every component's current encoding, in registration
-// order. Each encoding is hashed as a stream through one fixed buffer
-// (Encoder's digest mode), so a digest allocates the same whatever the
-// components' encoded size.
+// order, into a new slice the caller keeps. Each encoding is hashed as a
+// stream through one fixed buffer (Encoder's digest mode) that the
+// registry keeps between calls, so after the first call a digest
+// allocates only the returned slice, whatever the components' encoded
+// size. A registry computes digests on one goroutine at a time.
 func (r *Registry) Digests() []Digest {
 	out := make([]Digest, 0, len(r.names))
-	e := Encoder{hashing: true, sum: fnvOffset64}
+	e := &r.hasher
+	e.buf, e.hashing, e.sum = e.buf[:0], true, fnvOffset64
 	for _, name := range r.names {
-		r.byName[name].Snapshot(&e)
+		r.byName[name].Snapshot(e)
 		out = append(out, Digest{Component: name, Hash: e.digest()})
 	}
 	return out

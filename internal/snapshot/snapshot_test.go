@@ -156,19 +156,25 @@ func TestRegistryDigestsStreamAcrossFlushes(t *testing.T) {
 	}
 }
 
-// TestRegistryDigestsAllocsIndependentOfSize guards the streaming
-// digest: hashing a 1 MB component allocates exactly as often as
-// hashing a 4 MB one, so a digest's cost in memory does not grow with
-// the state it covers.
-func TestRegistryDigestsAllocsIndependentOfSize(t *testing.T) {
+// TestRegistryDigestsNoAllocBeyondResult guards the streaming digest
+// and its kept buffer: after the first call, hashing a 1 MB component
+// allocates exactly as often as hashing a 4 MB one, and only the
+// returned slice, so a digest's cost in memory grows neither with the
+// state it covers nor with the number of digests taken.
+func TestRegistryDigestsNoAllocBeyondResult(t *testing.T) {
 	allocs := func(bytes int) float64 {
 		r := NewRegistry()
 		r.Register("small", &fakeComp{a: 1})
 		r.Register("big", &bulkComp{n: bytes / bulkRecordBytes})
-		return testing.AllocsPerRun(5, func() { r.Digests() })
+		r.Digests()
+		return testing.AllocsPerRun(10, func() { r.Digests() })
 	}
-	if a1, a4 := allocs(1<<20), allocs(4<<20); a1 != a4 {
+	a1, a4 := allocs(1<<20), allocs(4<<20)
+	if a1 != a4 {
 		t.Fatalf("Digests allocates %.0f times over a 1 MB component but %.0f over 4 MB; want equal", a1, a4)
+	}
+	if a1 > 1 {
+		t.Fatalf("Digests allocates %.0f times per call after the first; want only the returned slice", a1)
 	}
 }
 

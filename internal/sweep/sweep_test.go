@@ -18,21 +18,45 @@ func TestMapOrderAndCompleteness(t *testing.T) {
 	}
 }
 
+// TestMapActuallyParallel: a 4-worker Map runs calls at the same time.
+// Each call waits inside fn until as many calls as the caller and the
+// pool can run at once (the caller and up to three pool workers) are
+// inside together; a serial Map never gets there and fails at a
+// deadline that only a stalled run reaches.
 func TestMapActuallyParallel(t *testing.T) {
-	// Each task sleeps ~2ms; 16 tasks on 4 workers must finish far sooner
-	// than the 32ms a serial run would take.
-	start := time.Now()
-	var calls int64
+	want := min(4, 1+Workers())
+	var mu sync.Mutex
+	calls, inside, most := 0, 0, 0
+	together, giveUp := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	deadline := time.AfterFunc(5*time.Second, func() { close(giveUp) })
+	defer deadline.Stop()
 	Map(16, 4, func(i int) int {
-		atomic.AddInt64(&calls, 1)
-		time.Sleep(2 * time.Millisecond)
+		mu.Lock()
+		calls++
+		inside++
+		most = max(most, inside)
+		all := inside >= want
+		mu.Unlock()
+		if all {
+			once.Do(func() { close(together) })
+		}
+		select {
+		case <-together:
+		case <-giveUp:
+		}
+		mu.Lock()
+		inside--
+		mu.Unlock()
 		return i
 	})
 	if calls != 16 {
 		t.Fatalf("calls = %d", calls)
 	}
-	if el := time.Since(start); el > 24*time.Millisecond {
-		t.Fatalf("took %v; 4 workers should need ~8ms", el)
+	select {
+	case <-together:
+	default:
+		t.Fatalf("at most %d calls inside fn at once before the deadline; want %d", most, want)
 	}
 }
 

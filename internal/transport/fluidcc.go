@@ -4,7 +4,7 @@
 // advances a sending rate once per model RTT, responding to the mark
 // and loss fractions its path's fluid queues produced over that window.
 // Twins are stateless rate laws (per-flow state — rate, alpha — lives
-// in the fluid network), so one twin instance serves a whole population.
+// in the fluid network), so one twin value serves a whole population.
 package transport
 
 import (
@@ -13,68 +13,41 @@ import (
 	"repro/internal/sim"
 )
 
-// FluidCC advances one flow's rate by one RTT window. rate is bytes/sec;
-// alpha is the flow's smoothed congestion estimate (DCTCP's α; unused
-// twins return it unchanged); markFrac and lossFrac are the fractions
-// of the window's ticks during which the path marked or overflowed.
-type FluidCC interface {
-	Name() string
-	Advance(rate, alpha, markFrac, lossFrac float64) (newRate, newAlpha float64)
-}
-
-// fluidDCTCP mirrors the packet-level dctcp controller: α smoothed with
-// gain g toward the observed mark fraction, one multiplicative decrease
-// of α/2 per marked window, one MSS per RTT of additive increase
-// otherwise. Loss (queue overflow) responds like Reno — halve — since
-// drop-tail loss is the stronger signal.
-type fluidDCTCP struct {
-	g    float64
+// FluidCC is a fluid twin; FluidSchemeByName builds one. Both twins
+// are one law with a different gain:
+//
+//   - dctcp (g = 1/16, the packet controller's default) mirrors the
+//     packet-level dctcp controller: α smoothed with gain g toward the
+//     observed mark fraction, one multiplicative decrease of α/2 per
+//     marked window, one MSS per RTT of additive increase otherwise.
+//     Loss (queue overflow) responds like Reno — halve — since drop-tail
+//     loss is the stronger signal.
+//   - reno (g = 0) mirrors the packet-level reno controller: AIMD on
+//     loss only. It ignores ECN marks and leaves α unchanged; against a
+//     marking switch it fills the buffer until drop-tail loss, and the
+//     fluid queue model reproduces exactly that overflow.
+type FluidCC struct {
+	g    float64 // α gain; 0 ignores marks
 	incr float64 // additive increase per window, bytes/sec
 }
 
-// NewFluidDCTCP returns the DCTCP twin: gain g (0 selects the packet
-// controller's default 1/16), additive increase of one mss per rtt.
-func NewFluidDCTCP(g float64, mss int, rtt sim.Time) FluidCC {
-	if g <= 0 || g > 1 {
-		g = 1.0 / 16
+// Advance advances one flow's rate by one RTT window. rate is bytes/sec;
+// alpha is the flow's smoothed congestion estimate (DCTCP's α); markFrac
+// and lossFrac are the fractions of the window's ticks during which the
+// path marked or overflowed. Each product is wrapped in float64(...), so
+// no architecture fuses it into the addition that follows.
+func (f FluidCC) Advance(rate, alpha, markFrac, lossFrac float64) (newRate, newAlpha float64) {
+	if f.g > 0 {
+		alpha = float64((1-f.g)*alpha) + float64(f.g*markFrac)
+	} else {
+		markFrac = 0
 	}
-	return &fluidDCTCP{g: g, incr: aiPerWindow(mss, rtt)}
-}
-
-func (f *fluidDCTCP) Name() string { return "dctcp" }
-
-func (f *fluidDCTCP) Advance(rate, alpha, markFrac, lossFrac float64) (float64, float64) {
-	alpha = (1-f.g)*alpha + f.g*markFrac
 	switch {
 	case lossFrac > 0:
 		rate *= 0.5
 	case markFrac > 0:
-		rate *= 1 - alpha/2
+		rate *= 1 - float64(alpha/2)
 	default:
-		rate += f.incr
-	}
-	return rate, alpha
-}
-
-// fluidReno mirrors the packet-level reno controller: AIMD on loss only
-// (reno ignores ECN marks; against a marking switch it fills the buffer
-// until drop-tail loss, and the fluid queue model reproduces exactly
-// that overflow).
-type fluidReno struct {
-	incr float64
-}
-
-// NewFluidReno returns the Reno twin.
-func NewFluidReno(mss int, rtt sim.Time) FluidCC {
-	return &fluidReno{incr: aiPerWindow(mss, rtt)}
-}
-
-func (f *fluidReno) Name() string { return "reno" }
-
-func (f *fluidReno) Advance(rate, alpha, _, lossFrac float64) (float64, float64) {
-	if lossFrac > 0 {
-		rate *= 0.5
-	} else {
 		rate += f.incr
 	}
 	return rate, alpha
@@ -92,13 +65,14 @@ func aiPerWindow(mss int, rtt sim.Time) float64 {
 	return float64(mss) / rtt.Seconds()
 }
 
-// FluidSchemeByName resolves a fluid twin by its packet scheme name.
+// FluidSchemeByName resolves a fluid twin by its packet scheme name,
+// with an additive increase of one mss per rtt.
 func FluidSchemeByName(name string, mss int, rtt sim.Time) (FluidCC, error) {
 	switch name {
 	case "", "dctcp":
-		return NewFluidDCTCP(0, mss, rtt), nil
+		return FluidCC{g: 1.0 / 16, incr: aiPerWindow(mss, rtt)}, nil
 	case "reno":
-		return NewFluidReno(mss, rtt), nil
+		return FluidCC{incr: aiPerWindow(mss, rtt)}, nil
 	}
-	return nil, fmt.Errorf("transport: no fluid twin for scheme %q (have dctcp, reno)", name)
+	return FluidCC{}, fmt.Errorf("transport: no fluid twin for scheme %q (have dctcp, reno)", name)
 }
