@@ -1,8 +1,8 @@
 # Tier-1 verification: everything here must stay green.
 #
-#   make verify     build + full test suite (the tier-1 gate), including
-#                   the bench/ module's short tests (a nested module the
-#                   root `go test ./...` does not reach)
+#   make verify     build + vet + gofmt + full test suite (the tier-1
+#                   gate), including the bench/ module's short tests (a
+#                   nested module the root `go test ./...` does not reach)
 #   make race       race-detector job (short mode: the figure-scale
 #                   simulations are pure compute on one goroutine and
 #                   would take >10 min under the detector for no extra
@@ -78,8 +78,13 @@ test:
 
 verify: build vet staticcheck test api-compat
 
+# vet also gates formatting: gofmt must have nothing to change in the
+# root module or the examples module (not bench/, its own module, nor the
+# hidden build directories).
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l $$(find . -name '*.go' -not -path './bench/*' -not -path './.*')); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l lists files to format:"; echo "$$unformatted"; exit 1; fi
 
 # staticcheck is optional tooling: run it when installed, skip with a
 # notice otherwise (CI images without it must not fail the gate).

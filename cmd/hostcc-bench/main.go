@@ -718,8 +718,11 @@ func resumeChaos(path string) error {
 	if err != nil {
 		return fmt.Errorf("resume %s: %w", path, err)
 	}
-	if !rep.Verified {
+	if rep.Divergence != nil {
 		return fmt.Errorf("resume %s: replay diverged from recorded digests: %s", path, rep.Divergence)
+	}
+	if !rep.Verified {
+		return fmt.Errorf("resume %s: the record holds no digest frames to verify", path)
 	}
 	fmt.Printf("== Replay of %s verified: %d digest frames matched [%.1fs]\n", path, rep.FramesChecked, time.Since(start).Seconds())
 	fmt.Printf("   %s\n", rep.Result)

@@ -1,9 +1,9 @@
 // Command hostcc-crucible drives the deterministic chaos search: it
 // generates seeded random scenarios (topology × congestion control ×
 // workload × fault plan), judges each against the oracle battery
-// (conservation invariants, liveness verdicts, replay determinism,
-// snapshot round-trips, goodput-floor and victim tail-latency
-// properties), and delta-debugs every failure to a minimal JSON repro.
+// (conservation invariants, liveness verdicts, run-twice determinism of
+// every digest frame, goodput-floor and victim tail-latency properties),
+// and delta-debugs every failure to a minimal JSON repro.
 //
 // Usage:
 //

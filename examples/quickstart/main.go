@@ -21,7 +21,7 @@ func main() {
 
 	for _, enable := range []bool{false, true} {
 		opts := []hostcc.Option{
-			hostcc.WithHostCongestion(3), // 24 MApp cores generating CPU-to-memory traffic
+			hostcc.WithHostCongestion(3),            // 24 MApp cores generating CPU-to-memory traffic
 			hostcc.WithMinRTO(5 * time.Millisecond), // settle the startup transient quickly
 		}
 		if enable {

@@ -191,8 +191,10 @@ func RunChaos(cfg ChaosConfig) (ChaosResult, error) { return testbed.RunChaos(cf
 // ChaosConfig.Scenario and `hostcc-bench -chaos`.
 func ChaosScenarios() []string { return testbed.ChaosScenarios() }
 
-// Checkpoint/replay and liveness sentinel (see internal/snapshot and
-// DESIGN.md "Deterministic snapshots & replay").
+// Checkpoint/replay and liveness sentinel (see internal/testbed/chaos.go
+// and DESIGN.md "Deterministic snapshots & replay"). A checkpoint is a
+// JSON record of the run's config and digest timeline; resuming replays
+// the config and verifies the timeline.
 type (
 	// ReplayReport is the outcome of a verified replay from a checkpoint
 	// file (ResumeChaos).
@@ -206,7 +208,7 @@ type (
 
 // Sentinel recovery policies.
 const (
-	// SentinelAbort stops the run and writes a diagnostic snapshot.
+	// SentinelAbort stops the run and writes a diagnostic checkpoint.
 	SentinelAbort = sim.SentinelAbort
 	// SentinelEscape force-reclaims sequestered PCIe credits and keeps
 	// running (the PFC-watchdog analogue).

@@ -1,8 +1,8 @@
 // Package crucible is a deterministic chaos-search harness: it generates
 // valid random scenarios (topology × congestion control × workload ×
 // fault plan) from a single seed, runs each against an oracle battery
-// (conservation invariants, liveness verdicts, replay determinism,
-// snapshot round-trips, goodput-floor and tail-latency properties), and
+// (conservation invariants, liveness verdicts, run-twice determinism of
+// every digest frame, goodput-floor and tail-latency properties), and
 // delta-debugs any failure down to a minimal self-contained JSON repro
 // that replays bit-for-bit.
 //
@@ -45,8 +45,8 @@ type Injection struct {
 }
 
 // Oracles configures the property oracles that need thresholds. The
-// structural oracles (panic, invariant, liveness, determinism, snapshot)
-// are always armed.
+// structural oracles (panic, invariant, liveness, determinism) are
+// always armed.
 type Oracles struct {
 	// GoodputFloorPct, when > 0, requires NetApp-T goodput to return to
 	// this percentage of the pre-fault baseline within RecoveryRTTBudget

@@ -1,10 +1,8 @@
 package crucible
 
 import (
-	"bytes"
 	"fmt"
 	"sort"
-	"strconv"
 	"strings"
 
 	"repro/internal/apps"
@@ -26,7 +24,6 @@ const (
 	OracleInvariant   = "invariant"
 	OracleLiveness    = "liveness"
 	OracleDeterminism = "determinism"
-	OracleSnapshot    = "snapshot"
 	OracleGoodput     = "goodput-floor"
 	OracleVictim      = "victim-p999"
 )
@@ -106,9 +103,6 @@ type outcome struct {
 	recovered  bool
 	p999       float64
 	invChecks  int64
-
-	midImg []byte // mid-run state image (nil if the run never got there)
-	midErr string // first mid-run snapshot-oracle error
 
 	rec snapshot.Recording // digest frames and final state
 }
@@ -197,59 +191,13 @@ func runOnce(sc Scenario, opts testbed.Config, plan faults.Plan) (o *outcome) {
 	}
 
 	rec = tb.Record(digestEvery)
-	reg := rec.Registry
 
 	window := sentinelWindow(plan)
 	sen := tb.StartSentinel(sim.SentinelConfig{Window: window, Policy: sim.SentinelAbort})
 	// RunUntil clears the engine's stop flag on entry, so a sentinel
 	// abort must short-circuit the remaining phases explicitly.
 	aborted := func() bool { return sen.Report() != nil }
-
-	// Mid-run snapshot oracle: while the fault is live (the most state-
-	// rich instant of the run), the state image must decode to exactly
-	// the digests of the live registry, and a checkpoint built from it
-	// must survive an encode → decode → re-encode round trip untouched.
 	faultStart, faultEnd := faultSpan(plan)
-	mid := faultStart + (faultEnd-faultStart)/2
-	if mid <= opts.Warmup {
-		mid = opts.Warmup + 100*sim.Microsecond
-	}
-	sim.NewTimer(tb.E, func() {
-		img := reg.EncodeAll()
-		o.midImg = img
-		live := reg.Digests()
-		decoded, _, err := snapshot.DecodeState(img)
-		if err != nil {
-			o.midErr = fmt.Sprintf("decode mid-run image: %v", err)
-			return
-		}
-		if len(decoded) != len(live) {
-			o.midErr = fmt.Sprintf("mid-run image has %d components, registry %d", len(decoded), len(live))
-			return
-		}
-		for i := range decoded {
-			if decoded[i] != live[i] {
-				o.midErr = fmt.Sprintf("component %q digests diverge between image (%016x) and live registry (%016x)",
-					decoded[i].Component, decoded[i].Hash, live[i].Hash)
-				return
-			}
-		}
-		ck := &snapshot.Checkpoint{
-			Meta:        map[string]string{"scenario": "crucible", "seed": strconv.FormatInt(sc.Seed, 10)},
-			VirtualTime: int64(tb.E.Now()),
-			Events:      tb.E.Processed,
-			State:       img,
-		}
-		b := ck.Encode()
-		ck2, err := snapshot.Decode(b)
-		if err != nil {
-			o.midErr = fmt.Sprintf("checkpoint decode: %v", err)
-			return
-		}
-		if !bytes.Equal(ck2.Encode(), b) {
-			o.midErr = "checkpoint encode → decode → encode is not byte-identical"
-		}
-	}).ResetAt(mid)
 
 	// Phases: warmup, fault-free baseline, through the fault windows,
 	// drain to the horizon, then recovery probes for the goodput oracle.
@@ -351,15 +299,7 @@ func Run(sc Scenario) (Verdict, error) {
 	} else if o1.panicMsg == "" {
 		if div := snapshot.Compare(&o1.rec, &o2.rec); div != nil {
 			fail(OracleDeterminism, "digest recordings diverge: "+div.String())
-		} else if !bytes.Equal(o1.midImg, o2.midImg) {
-			fail(OracleDeterminism, "mid-run state images differ between runs")
 		}
-	}
-
-	// The snapshot oracle only judges runs that got far enough to produce a
-	// coherent image; a panicked run's partial state proves nothing.
-	if o1.panicMsg == "" && o1.midErr != "" {
-		fail(OracleSnapshot, o1.midErr)
 	}
 
 	if o1.panicMsg == "" && sc.Oracles.GoodputFloorPct > 0 && !o1.recovered {

@@ -78,7 +78,7 @@ func (s *Stats) RegisterInstruments(reg *telemetry.Registry, prefix string) {
 		func() float64 { return float64(s.Failures) })
 	for _, oracle := range []string{
 		OraclePanic, OracleInvariant, OracleLiveness, OracleDeterminism,
-		OracleSnapshot, OracleGoodput, OracleVictim,
+		OracleGoodput, OracleVictim,
 	} {
 		oracle := oracle
 		reg.Counter(prefix+"/failed/"+oracle, "count", "scenarios that failed the "+oracle+" oracle",

@@ -168,8 +168,8 @@ func (c Config) Validate() error {
 	if c.Workers < 0 {
 		return fmt.Errorf("evalharness: negative Workers %d", c.Workers)
 	}
-	if c.Shards < 0 {
-		return fmt.Errorf("evalharness: negative Shards %d", c.Shards)
+	if c.Shards < 0 || c.Shards > testbed.MaxShards {
+		return fmt.Errorf("evalharness: Shards %d outside [0,%d]", c.Shards, testbed.MaxShards)
 	}
 	return nil
 }

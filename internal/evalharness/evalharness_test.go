@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/sim"
+	"repro/internal/testbed"
 )
 
 // TestConfigValidateRejects: every invalid axis or parameter is caught
@@ -31,6 +32,7 @@ func TestConfigValidateRejects(t *testing.T) {
 		{"negative-rpc-size", func(c *Config) { c.RPCSize = -1 }, "RPCSize"},
 		{"negative-workers", func(c *Config) { c.Workers = -1 }, "Workers"},
 		{"negative-shards", func(c *Config) { c.Shards = -2 }, "Shards"},
+		{"shards-above-bound", func(c *Config) { c.Shards = testbed.MaxShards + 1 }, "Shards"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

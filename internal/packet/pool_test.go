@@ -1,6 +1,7 @@
 package packet
 
 import (
+	"encoding/binary"
 	"strings"
 	"testing"
 
@@ -123,11 +124,11 @@ func TestPoolSnapshotDeterministic(t *testing.T) {
 	}
 
 	// The image carries the accounting counters and the free-list depth.
-	dec := snapshot.NewDecoder(img)
-	gets, puts, news, depth := dec.U64(), dec.U64(), dec.U64(), dec.I64()
-	if dec.Err() != nil || dec.Remaining() != 0 {
-		t.Fatalf("image layout: err=%v remaining=%d", dec.Err(), dec.Remaining())
+	if len(img) != 32 {
+		t.Fatalf("image is %d bytes, want four u64 fields", len(img))
 	}
+	le := binary.LittleEndian
+	gets, puts, news, depth := le.Uint64(img), le.Uint64(img[8:]), le.Uint64(img[16:]), int64(le.Uint64(img[24:]))
 	if gets != p.Gets || puts != p.Puts || news != p.News || int(depth) != p.FreeLen() {
 		t.Fatalf("encoded gets=%d puts=%d news=%d free=%d, want %d/%d/%d/%d",
 			gets, puts, news, depth, p.Gets, p.Puts, p.News, p.FreeLen())

@@ -7,7 +7,7 @@ type SentinelPolicy int
 
 const (
 	// SentinelAbort stops the engine after invoking the OnStall callback
-	// (which typically writes a diagnostic snapshot for replay).
+	// (which typically writes a diagnostic checkpoint for replay).
 	SentinelAbort SentinelPolicy = iota
 	// SentinelEscape invokes the configured escape action (e.g. a PCIe
 	// credit-timeout reclaim), then keeps monitoring with a fresh window.

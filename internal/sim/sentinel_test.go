@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"strings"
 	"testing"
@@ -36,22 +37,22 @@ func TestEngineSnapshotRoundTrip(t *testing.T) {
 
 	// The image carries the position and the RNG cursor: seed, then the
 	// draw count as the trailing u64.
-	dec := snapshot.NewDecoder(img)
-	if now := Time(dec.I64()); now != e.Now() {
+	le := binary.LittleEndian
+	if now := Time(le.Uint64(img[0:])); now != e.Now() {
 		t.Errorf("encoded now = %v, want %v", now, e.Now())
 	}
-	_ = dec.U64() // seq
-	if processed := dec.U64(); processed != e.Processed {
+	// img[8:16] is seq.
+	if processed := le.Uint64(img[16:]); processed != e.Processed {
 		t.Errorf("encoded processed = %d, want %d", processed, e.Processed)
 	}
-	if pending := dec.I64(); pending != 0 {
+	if pending := int64(le.Uint64(img[24:])); pending != 0 {
 		t.Errorf("encoded pending = %d, want 0", pending)
 	}
-	tail := snapshot.NewDecoder(img[len(img)-16:])
-	if seed := tail.I64(); seed != 42 {
+	tail := img[len(img)-16:]
+	if seed := int64(le.Uint64(tail)); seed != 42 {
 		t.Errorf("encoded seed = %d, want 42", seed)
 	}
-	if draws := tail.U64(); draws != e.RNGDraws() || draws == 0 {
+	if draws := le.Uint64(tail[8:]); draws != e.RNGDraws() || draws == 0 {
 		t.Errorf("encoded draws = %d, want %d", draws, e.RNGDraws())
 	}
 
@@ -245,7 +246,7 @@ func TestTimerSnapshotState(t *testing.T) {
 	if img[0] != 1 {
 		t.Fatalf("armed byte = %d, want 1", img[0])
 	}
-	if at := snapshot.NewDecoder(img[1:]).I64(); at != 500 {
+	if at := int64(binary.LittleEndian.Uint64(img[1:])); at != 500 {
 		t.Fatalf("encoded deadline = %d, want 500", at)
 	}
 

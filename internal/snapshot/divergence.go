@@ -122,30 +122,3 @@ func FirstDivergence(a, b *Timeline) (Divergence, bool) {
 	}
 	return Divergence{}, false
 }
-
-func (t *Timeline) encode(e *Encoder) {
-	e.U32(uint32(len(t.Frames)))
-	for _, f := range t.Frames {
-		e.I64(f.At)
-		e.U64(f.Events)
-		e.U32(uint32(len(f.Digests)))
-		for _, d := range f.Digests {
-			e.Str(d.Component)
-			e.U64(d.Hash)
-		}
-	}
-}
-
-func decodeTimeline(d *Decoder) Timeline {
-	var t Timeline
-	n := int(d.U32())
-	for i := 0; i < n && d.Err() == nil; i++ {
-		f := Frame{At: d.I64(), Events: d.U64()}
-		m := int(d.U32())
-		for j := 0; j < m && d.Err() == nil; j++ {
-			f.Digests = append(f.Digests, Digest{Component: d.Str(), Hash: d.U64()})
-		}
-		t.Frames = append(t.Frames, f)
-	}
-	return t
-}

@@ -1,6 +1,6 @@
-// Package snapshot provides a versioned, deterministic binary encoding of
-// simulation component state, per-component digests for divergence
-// detection, and a checkpoint file format for replaying chaos runs.
+// Package snapshot provides a deterministic binary encoding of
+// simulation component state, per-component digests of that encoding,
+// and the digest timelines that verified runs compare.
 //
 // Design constraints (see DESIGN.md "Deterministic snapshots & replay"):
 //
@@ -10,23 +10,20 @@
 //   - Leaf package: only the standard library, so every model package
 //     (sim, stats, nic, pcie, ...) can implement Snapshotter without an
 //     import cycle.
-//   - Write-only: components encode, nothing decodes state back into a
-//     component. Encodings feed per-component digests, HCSSTAT1 state
-//     images and HCCCKPT1 checkpoints. Resumption is replay-based (the
-//     event queue holds closures, which have no serializable form): a
-//     checkpoint records enough metadata to re-execute the run
-//     deterministically and verify per-frame digests along the way. The
-//     Decoder reads only the framing — image headers, component blobs,
-//     checkpoint metadata and digest timelines.
+//   - Write-only: components encode and nothing decodes; an encoding
+//     exists to be hashed. Resumption is replay-based (the event queue
+//     holds handlers, which have no serializable form): a chaos
+//     checkpoint records the run's config and digest timeline, and a
+//     resume re-executes the config and checks every recorded frame
+//     against the replay.
 package snapshot
 
 import (
 	"encoding/binary"
-	"fmt"
 	"math"
 )
 
-// Encoder builds a deterministic binary image. All integers are
+// Encoder builds a deterministic binary encoding. All integers are
 // little-endian fixed width; strings are u32-length-prefixed UTF-8.
 // The zero value is ready to use.
 type Encoder struct {
@@ -46,7 +43,7 @@ type Encoder struct {
 // is rare next to the appends, small enough to stay in L1.
 const flushBytes = 32 << 10
 
-// Bytes returns the encoded image.
+// Bytes returns the encoding.
 func (e *Encoder) Bytes() []byte { return e.buf }
 
 // spill flushes a digest-mode buffer that has filled.
@@ -101,88 +98,4 @@ func (e *Encoder) Str(s string) {
 	e.U32(uint32(len(s)))
 	e.buf = append(e.buf, s...)
 	e.spill()
-}
-
-// Raw appends a length-prefixed byte blob.
-func (e *Encoder) Raw(b []byte) {
-	e.U32(uint32(len(b)))
-	e.buf = append(e.buf, b...)
-	e.spill()
-}
-
-// Decoder reads an Encoder image back. Errors are sticky: after the first
-// short read every accessor returns the zero value, and Err reports the
-// failure, so callers can decode unconditionally and check once at the
-// end.
-type Decoder struct {
-	buf []byte
-	off int
-	err error
-}
-
-// NewDecoder wraps an encoded image.
-func NewDecoder(b []byte) *Decoder { return &Decoder{buf: b} }
-
-// Err returns the first decode error, or nil.
-func (d *Decoder) Err() error { return d.err }
-
-// Remaining returns the number of unread bytes.
-func (d *Decoder) Remaining() int { return len(d.buf) - d.off }
-
-func (d *Decoder) take(n int) []byte {
-	if d.err != nil {
-		return nil
-	}
-	if d.off+n > len(d.buf) {
-		d.err = fmt.Errorf("snapshot: truncated image (want %d bytes at offset %d of %d)", n, d.off, len(d.buf))
-		return nil
-	}
-	b := d.buf[d.off : d.off+n]
-	d.off += n
-	return b
-}
-
-// U32 reads a uint32.
-func (d *Decoder) U32() uint32 {
-	b := d.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b)
-}
-
-// U64 reads a uint64.
-func (d *Decoder) U64() uint64 {
-	b := d.take(8)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b)
-}
-
-// I64 reads an int64.
-func (d *Decoder) I64() int64 { return int64(d.U64()) }
-
-// Str reads a length-prefixed string.
-func (d *Decoder) Str() string {
-	n := int(d.U32())
-	if d.err != nil {
-		return ""
-	}
-	return string(d.take(n))
-}
-
-// Raw reads a length-prefixed byte blob.
-func (d *Decoder) Raw() []byte {
-	n := int(d.U32())
-	if d.err != nil {
-		return nil
-	}
-	b := d.take(n)
-	if b == nil {
-		return nil
-	}
-	out := make([]byte, n)
-	copy(out, b)
-	return out
 }

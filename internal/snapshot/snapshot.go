@@ -14,9 +14,9 @@ import (
 //   - Snapshot must cover every field that distinguishes one state from
 //     another, including state with no serializable form (pending
 //     callbacks, queued packets), which is encoded by count or by a
-//     stand-in such as wire length. The encoding feeds digests, state
-//     images and checkpoints; nothing decodes it back into a component.
-//     Runs resume by replay — see the package comment.
+//     stand-in such as wire length. The encoding feeds digests only;
+//     nothing decodes it back into a component. Runs resume by replay —
+//     see the package comment.
 type Snapshotter interface {
 	Snapshot(*Encoder)
 }
@@ -55,45 +55,6 @@ func (r *Registry) Register(name string, s Snapshotter) {
 	}
 	r.names = append(r.names, name)
 	r.byName[name] = s
-}
-
-// stateMagic identifies a Registry.EncodeAll image.
-const stateMagic = "HCSSTAT1"
-
-// EncodeAll serializes every component into one versioned image.
-func (r *Registry) EncodeAll() []byte {
-	var e Encoder
-	e.buf = append(e.buf, stateMagic...)
-	e.U32(uint32(len(r.names)))
-	for _, name := range r.names {
-		var ce Encoder
-		r.byName[name].Snapshot(&ce)
-		e.Str(name)
-		e.Raw(ce.Bytes())
-	}
-	return e.Bytes()
-}
-
-// DecodeState splits an EncodeAll image into named component blobs,
-// preserving order. It validates the header but not the blobs.
-func DecodeState(img []byte) ([]Digest, map[string][]byte, error) {
-	d := NewDecoder(img)
-	if string(d.take(len(stateMagic))) != stateMagic {
-		return nil, nil, fmt.Errorf("snapshot: bad state magic")
-	}
-	n := int(d.U32())
-	order := make([]Digest, 0, n)
-	blobs := make(map[string][]byte, n)
-	for i := 0; i < n; i++ {
-		name := d.Str()
-		blob := d.Raw()
-		if d.Err() != nil {
-			return nil, nil, d.Err()
-		}
-		order = append(order, Digest{Component: name, Hash: HashBytes(blob)})
-		blobs[name] = blob
-	}
-	return order, blobs, d.Err()
 }
 
 // FNV-1a 64 parameters (hash/fnv's New64a).

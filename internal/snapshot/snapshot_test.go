@@ -1,11 +1,13 @@
 package snapshot
 
 import (
+	"encoding/binary"
 	"math"
-	"path/filepath"
 	"testing"
 )
 
+// TestEncoderDecoderRoundTrip: every field encodes fixed-width
+// little-endian and reads back with encoding/binary.
 func TestEncoderDecoderRoundTrip(t *testing.T) {
 	var e Encoder
 	e.U32(7)
@@ -14,54 +16,32 @@ func TestEncoderDecoderRoundTrip(t *testing.T) {
 	e.Int(12345)
 	e.F64(3.14159)
 	e.Str("hello")
-	e.Raw([]byte{1, 2, 3})
 	e.Bool(true)
 	e.Bool(false)
 
-	d := NewDecoder(e.Bytes())
-	if got := d.U32(); got != 7 {
+	b := e.Bytes()
+	le := binary.LittleEndian
+	if got := le.Uint32(b[0:]); got != 7 {
 		t.Errorf("U32 = %d", got)
 	}
-	if got := d.U64(); got != 1<<60 {
+	if got := le.Uint64(b[4:]); got != 1<<60 {
 		t.Errorf("U64 = %d", got)
 	}
-	if got := d.I64(); got != -42 {
+	if got := int64(le.Uint64(b[12:])); got != -42 {
 		t.Errorf("I64 = %d", got)
 	}
-	if got := d.I64(); got != 12345 {
+	if got := int64(le.Uint64(b[20:])); got != 12345 {
 		t.Errorf("Int = %d (encoded as int64)", got)
 	}
-	if got := d.U64(); got != math.Float64bits(3.14159) {
+	if got := le.Uint64(b[28:]); got != math.Float64bits(3.14159) {
 		t.Errorf("F64 bits = %#x (encoded as IEEE-754 bits)", got)
 	}
-	if got := d.Str(); got != "hello" {
-		t.Errorf("Str = %q", got)
+	if n := le.Uint32(b[36:]); n != 5 || string(b[40:45]) != "hello" {
+		t.Errorf("Str = %d-byte prefix, %q", n, b[40:45])
 	}
-	raw := d.Raw()
-	if len(raw) != 3 || raw[0] != 1 || raw[2] != 3 {
-		t.Errorf("Raw = %v", raw)
-	}
-	if d.Err() != nil {
-		t.Fatalf("decode error: %v", d.Err())
-	}
-	// Each Bool is one byte.
-	if d.Remaining() != 2 {
-		t.Fatalf("remaining = %d, want the two bool bytes", d.Remaining())
-	}
-	if b := e.Bytes()[len(e.Bytes())-2:]; b[0] != 1 || b[1] != 0 {
-		t.Errorf("Bool bytes = %v, want [1 0]", b)
-	}
-}
-
-func TestDecoderStickyError(t *testing.T) {
-	d := NewDecoder([]byte{1, 2})
-	_ = d.U64() // short read
-	if d.Err() == nil {
-		t.Fatal("expected truncation error")
-	}
-	// Every subsequent accessor must return zero values, not panic.
-	if d.U32() != 0 || d.I64() != 0 || d.Str() != "" || d.Raw() != nil {
-		t.Error("accessors after error must return zero values")
+	// Each Bool is one byte, and nothing follows.
+	if len(b) != 47 || b[45] != 1 || b[46] != 0 {
+		t.Errorf("Bool bytes = %v of a %d-byte encoding, want [1 0] of 47", b[45:], len(b))
 	}
 }
 
@@ -73,6 +53,14 @@ type fakeComp struct {
 
 func (f *fakeComp) Snapshot(e *Encoder) { e.I64(f.a); e.F64(f.b) }
 
+// encoding returns one component's buffered encoding, the bytes its
+// digest must hash.
+func encoding(s Snapshotter) []byte {
+	var e Encoder
+	s.Snapshot(&e)
+	return e.Bytes()
+}
+
 func TestRegistryRoundTripAndDigests(t *testing.T) {
 	r := NewRegistry()
 	c1 := &fakeComp{a: 1, b: 2.5}
@@ -80,20 +68,15 @@ func TestRegistryRoundTripAndDigests(t *testing.T) {
 	r.Register("alpha", c1)
 	r.Register("beta", c2)
 
-	img := r.EncodeAll()
+	// Each digest is HashBytes of its component's encoding, in
+	// registration order.
 	d1 := r.Digests()
-
-	// The image decodes to the live registry's digests, in order.
-	decoded, blobs, err := DecodeState(img)
-	if err != nil {
-		t.Fatalf("DecodeState: %v", err)
-	}
-	if len(decoded) != len(d1) || len(blobs) != len(d1) {
-		t.Fatalf("decoded %d components, registry has %d", len(decoded), len(d1))
-	}
-	for i := range d1 {
-		if decoded[i] != d1[i] {
-			t.Errorf("component %d: image digest %+v, live %+v", i, decoded[i], d1[i])
+	for i, c := range []struct {
+		name string
+		comp *fakeComp
+	}{{"alpha", c1}, {"beta", c2}} {
+		if want := (Digest{Component: c.name, Hash: HashBytes(encoding(c.comp))}); d1[i] != want {
+			t.Errorf("digest %d = %+v, want %+v", i, d1[i], want)
 		}
 	}
 
@@ -103,11 +86,8 @@ func TestRegistryRoundTripAndDigests(t *testing.T) {
 		t.Fatal("digest did not change after mutation")
 	}
 
-	// The same state re-encodes identically (deterministic encoding).
+	// The same state digests identically (deterministic encoding).
 	c1.a, c2.b = 1, 0
-	if string(r.EncodeAll()) != string(img) {
-		t.Error("re-encoded image differs")
-	}
 	if d3 := r.Digests(); Combined(d3) != Combined(d1) {
 		t.Error("digest of the same state differs")
 	}
@@ -135,23 +115,19 @@ const bulkRecordBytes = 4 + 8 + 1 + 4 + 4
 // either side that reuse the same encoder.
 func TestRegistryDigestsStreamAcrossFlushes(t *testing.T) {
 	big := &bulkComp{n: 3*flushBytes/bulkRecordBytes + 777}
-	r := NewRegistry()
-	r.Register("before", &fakeComp{a: 3, b: 0.5})
-	r.Register("big", big)
-	r.Register("after", &bulkComp{n: 5})
-
-	_, blobs, err := DecodeState(r.EncodeAll())
-	if err != nil {
-		t.Fatalf("DecodeState: %v", err)
-	}
-	if n := len(blobs["big"]); n <= 3*flushBytes {
+	if n := len(encoding(big)); n <= 3*flushBytes {
 		t.Fatalf("big component encodes %d bytes, want more than 3 flush buffers (%d)", n, 3*flushBytes)
 	}
-	got := r.Digests()
-	for i, name := range []string{"before", "big", "after"} {
-		if want := HashBytes(blobs[name]); got[i].Component != name || got[i].Hash != want {
+	names := []string{"before", "big", "after"}
+	comps := []Snapshotter{&fakeComp{a: 3, b: 0.5}, big, &bulkComp{n: 5}}
+	r := NewRegistry()
+	for i, name := range names {
+		r.Register(name, comps[i])
+	}
+	for i, d := range r.Digests() {
+		if want := HashBytes(encoding(comps[i])); d.Component != names[i] || d.Hash != want {
 			t.Errorf("digest %d = %s %#x, want %s %#x (HashBytes of its encoding)",
-				i, got[i].Component, got[i].Hash, name, want)
+				i, d.Component, d.Hash, names[i], want)
 		}
 	}
 }
@@ -182,10 +158,19 @@ func TestRegistryDigestsNoAllocBeyondResult(t *testing.T) {
 // component and a few small ones.
 func BenchmarkRegistryDigests(b *testing.B) {
 	r := NewRegistry()
-	r.Register("head", &fakeComp{a: 1, b: 2})
-	r.Register("big", &bulkComp{n: 4 << 20 / bulkRecordBytes})
-	r.Register("tail", &bulkComp{n: 100})
-	b.SetBytes(int64(len(r.EncodeAll())))
+	var size int64
+	for _, c := range []struct {
+		name string
+		comp Snapshotter
+	}{
+		{"head", &fakeComp{a: 1, b: 2}},
+		{"big", &bulkComp{n: 4 << 20 / bulkRecordBytes}},
+		{"tail", &bulkComp{n: 100}},
+	} {
+		r.Register(c.name, c.comp)
+		size += int64(len(encoding(c.comp)))
+	}
+	b.SetBytes(size)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -213,47 +198,5 @@ func TestFirstDivergence(t *testing.T) {
 	}
 	if _, ok := FirstDivergence(a, a); ok {
 		t.Error("identical timelines must not diverge")
-	}
-}
-
-func TestCheckpointFileRoundTrip(t *testing.T) {
-	r := NewRegistry()
-	r.Register("x", &fakeComp{a: 42, b: 1.5})
-	ck := &Checkpoint{
-		Meta:        map[string]string{"scenario": "storm", "seed": "7"},
-		VirtualTime: 83_000_000,
-		Events:      123456,
-		Timeline: Timeline{Frames: []Frame{
-			{At: 1_000_000, Events: 10, Digests: []Digest{{Component: "x", Hash: 0xdead}}},
-		}},
-		State: r.EncodeAll(),
-	}
-	path := filepath.Join(t.TempDir(), "ck.snap")
-	if err := ck.WriteFile(path); err != nil {
-		t.Fatalf("WriteFile: %v", err)
-	}
-	got, err := ReadFile(path)
-	if err != nil {
-		t.Fatalf("ReadFile: %v", err)
-	}
-	if got.Get("scenario") != "storm" || got.Get("seed") != "7" {
-		t.Errorf("meta = %v", got.Meta)
-	}
-	if got.VirtualTime != ck.VirtualTime || got.Events != ck.Events {
-		t.Errorf("position = %d/%d", got.VirtualTime, got.Events)
-	}
-	if got.Timeline.Len() != 1 || got.Timeline.Frames[0].Digests[0].Hash != 0xdead {
-		t.Errorf("timeline = %+v", got.Timeline)
-	}
-	order, blobs, err := DecodeState(got.State)
-	if err != nil {
-		t.Fatalf("DecodeState: %v", err)
-	}
-	if len(order) != 1 || order[0].Component != "x" || len(blobs["x"]) == 0 {
-		t.Errorf("state = %v", order)
-	}
-
-	if _, err := ReadFile(filepath.Join(t.TempDir(), "missing.snap")); err == nil {
-		t.Error("expected error for missing file")
 	}
 }

@@ -1,9 +1,9 @@
 package testbed
 
 import (
+	"encoding/json"
 	"fmt"
-	"strconv"
-	"strings"
+	"os"
 
 	"repro/internal/core"
 	"repro/internal/fabric"
@@ -64,8 +64,11 @@ type ChaosConfig struct {
 	// processed-event count crosses a multiple of this value (0 disables).
 	// Checkpoints are captured inside recorder ticks, so enabling them
 	// implies digest recording (DigestEvery defaults to 500 µs if unset).
-	CheckpointEvery uint64
-	CheckpointPath  string
+	// Neither field, nor SnapshotOnStall, is recorded in a checkpoint: a
+	// resumed run replays a record that may come from anywhere, so it
+	// writes no file.
+	CheckpointEvery uint64 `json:"-"`
+	CheckpointPath  string `json:"-"`
 
 	// SentinelWindow arms the liveness sentinel with this stall window
 	// (0 disables). SentinelPolicy selects abort-with-diagnostic vs
@@ -73,7 +76,7 @@ type ChaosConfig struct {
 	// abort path writes the diagnostic checkpoint for offline replay.
 	SentinelWindow  sim.Time
 	SentinelPolicy  sim.SentinelPolicy
-	SnapshotOnStall string
+	SnapshotOnStall string `json:"-"`
 
 	// Lossless runs the scenario on a PFC + DCQCN fabric (implied by the
 	// lossless scenarios pfc-storm, pause-loss and congestion-spread;
@@ -194,26 +197,21 @@ func RunChaos(cfg ChaosConfig) (ChaosResult, error) {
 	return res, err
 }
 
-// runChaos is RunChaos plus the run's digest recording (what RunVerified
-// compares and ResumeChaos checks a checkpoint against).
-func runChaos(cfg ChaosConfig) (ChaosResult, snapshot.Recording, error) {
+// chaosTestbed resolves a chaos config into the testbed config its run
+// builds: defaults, the fault plan, topology and scheme, checked by
+// Validate. It builds and runs nothing.
+func chaosTestbed(cfg ChaosConfig) (ChaosConfig, Config, error) {
 	cfg = cfg.withDefaults()
 	plan := cfg.Plan
-	scenarioKey := ""
 	if plan == nil {
 		p, err := faults.Builtin(cfg.Scenario, cfg.FaultAt, cfg.FaultFor)
 		if err != nil {
-			return ChaosResult{}, snapshot.Recording{}, err
+			return cfg, Config{}, err
 		}
 		plan = &p
-		scenarioKey = plan.Name
-	} else {
-		// Custom plans live only in the caller's process; a checkpoint
-		// carrying this marker cannot be resumed.
-		scenarioKey = "custom:" + plan.Name
 	}
 	if cfg.CheckpointEvery > 0 && cfg.CheckpointPath == "" {
-		return ChaosResult{}, snapshot.Recording{}, fmt.Errorf("testbed: ChaosConfig.CheckpointEvery set without CheckpointPath")
+		return cfg, Config{}, fmt.Errorf("testbed: ChaosConfig.CheckpointEvery set without CheckpointPath")
 	}
 	info := scenarioInfo(plan.Name)
 	topoName := cfg.Topology
@@ -222,11 +220,11 @@ func runChaos(cfg ChaosConfig) (ChaosResult, snapshot.Recording, error) {
 	}
 	topoKind, err := fabric.ParseTopologyKind(topoName)
 	if err != nil {
-		return ChaosResult{}, snapshot.Recording{}, err
+		return cfg, Config{}, err
 	}
 	scheme, err := transport.SchemeByName(cfg.Scheme)
 	if err != nil {
-		return ChaosResult{}, snapshot.Recording{}, err
+		return cfg, Config{}, err
 	}
 	wd := core.DefaultWatchdogConfig()
 	opts := DefaultConfig()
@@ -257,7 +255,7 @@ func runChaos(cfg ChaosConfig) (ChaosResult, snapshot.Recording, error) {
 		// and the wait graph closes into a pfc cycle. No PFC watchdog —
 		// the storm is supposed to wedge the fabric until it clears.
 		if topoKind != fabric.TopoLeafSpine {
-			return ChaosResult{}, snapshot.Recording{}, fmt.Errorf("testbed: pfc-storm requires the leafspine topology, not %q", topoKind)
+			return cfg, Config{}, fmt.Errorf("testbed: pfc-storm requires the leafspine topology, not %q", topoKind)
 		}
 		opts.Topology = fabric.Topology{Kind: fabric.TopoLeafSpine, Leaves: 2, Spines: 1}
 		// Trunk pair of leaf 1 (the sender rack): up leaf1->spine0 and
@@ -268,13 +266,20 @@ func runChaos(cfg ChaosConfig) (ChaosResult, snapshot.Recording, error) {
 		// mechanism under test.
 		opts.PauseWatchdog = 150 * sim.Microsecond
 	}
-	if err := opts.Validate(); err != nil {
+	return cfg, opts, opts.Validate()
+}
+
+// runChaos is RunChaos plus the run's digest recording (what RunVerified
+// compares and ResumeChaos checks a checkpoint against).
+func runChaos(cfg ChaosConfig) (ChaosResult, snapshot.Recording, error) {
+	cfg, opts, err := chaosTestbed(cfg)
+	if err != nil {
 		return ChaosResult{}, snapshot.Recording{}, err
 	}
 
 	tb := New(opts)
 	defer tb.Close()
-	res := ChaosResult{Scenario: plan.Name, Seed: cfg.Seed}
+	res := ChaosResult{Scenario: opts.Faults.Name, Seed: cfg.Seed}
 	// Collect violations instead of panicking so the result reports them
 	// (the chaos tests assert the list is empty — still a loud failure).
 	tb.Inv.OnViolation = func(string) {}
@@ -286,22 +291,15 @@ func runChaos(cfg ChaosConfig) (ChaosResult, snapshot.Recording, error) {
 	// perturbs event ordering relative to a same-config run), and the
 	// sentinel watches for stalled progress.
 	rec := tb.Record(cfg.DigestEvery)
-	meta := chaosMeta(cfg, scenarioKey, topoKind.String())
-	capture := func() *snapshot.Checkpoint {
-		return &snapshot.Checkpoint{
-			Meta:        meta,
-			VirtualTime: int64(tb.Now()),
-			Events:      tb.Processed(),
-			Timeline:    rec.Timeline,
-			State:       rec.Registry.EncodeAll(),
-		}
+	capture := func() *checkpoint {
+		return &checkpoint{Config: cfg, At: tb.Now(), Events: tb.Processed(), Timeline: rec.Timeline}
 	}
 	if cfg.CheckpointEvery > 0 {
 		var lastBucket uint64
 		rec.OnFrame = func() {
 			if bucket := tb.Processed() / cfg.CheckpointEvery; bucket > lastBucket {
 				lastBucket = bucket
-				if err := capture().WriteFile(cfg.CheckpointPath); err == nil {
+				if err := capture().write(cfg.CheckpointPath); err == nil {
 					res.Checkpoints++
 				}
 			}
@@ -316,7 +314,7 @@ func runChaos(cfg ChaosConfig) (ChaosResult, snapshot.Recording, error) {
 		})
 		sen.OnStall(func(*sim.StallReport) {
 			if cfg.SnapshotOnStall != "" && res.StallSnapshot == "" {
-				if err := capture().WriteFile(cfg.SnapshotOnStall); err == nil {
+				if err := capture().write(cfg.SnapshotOnStall); err == nil {
 					res.StallSnapshot = cfg.SnapshotOnStall
 				}
 			}
@@ -384,78 +382,50 @@ func runChaos(cfg ChaosConfig) (ChaosResult, snapshot.Recording, error) {
 	return res, recording, nil
 }
 
-// chaosMeta flattens the (defaulted) run configuration into checkpoint
-// metadata, enough to re-execute the run deterministically.
-func chaosMeta(cfg ChaosConfig, scenarioKey, topology string) map[string]string {
-	return map[string]string{
-		"scenario":       scenarioKey,
-		"topology":       topology,
-		"scheme":         cfg.Scheme,
-		"seed":           strconv.FormatInt(cfg.Seed, 10),
-		"degree":         strconv.FormatFloat(cfg.Degree, 'g', -1, 64),
-		"faultAt":        strconv.FormatInt(int64(cfg.FaultAt), 10),
-		"faultFor":       strconv.FormatInt(int64(cfg.FaultFor), 10),
-		"budget":         strconv.Itoa(cfg.RecoveryRTTBudget),
-		"digestEvery":    strconv.FormatInt(int64(cfg.DigestEvery), 10),
-		"sentinelWindow": strconv.FormatInt(int64(cfg.SentinelWindow), 10),
-		"sentinelPolicy": strconv.Itoa(int(cfg.SentinelPolicy)),
-		"lossless":       strconv.FormatBool(cfg.Lossless),
-		"shards":         strconv.Itoa(cfg.Shards),
-	}
+// checkpoint is the record a chaos run writes for ResumeChaos, and all
+// that a resume reads: the defaulted config the run replays, the capture
+// instant, and the digest frames recorded up to it, which the replay is
+// checked against.
+type checkpoint struct {
+	Config   ChaosConfig
+	At       sim.Time
+	Events   uint64
+	Timeline snapshot.Timeline
 }
 
-// chaosConfigFromCheckpoint reconstructs the run configuration a
-// checkpoint records. Only builtin scenarios are resumable: a custom
-// fault plan lives in the recording process and has no serialized form.
-func chaosConfigFromCheckpoint(ck *snapshot.Checkpoint) (ChaosConfig, error) {
-	scen := ck.Get("scenario")
-	if scen == "" {
-		return ChaosConfig{}, fmt.Errorf("testbed: checkpoint records no scenario")
-	}
-	if strings.HasPrefix(scen, "custom:") {
-		return ChaosConfig{}, fmt.Errorf("testbed: checkpoint records custom fault plan %q; only builtin scenarios are resumable",
-			strings.TrimPrefix(scen, "custom:"))
-	}
-	var firstErr error
-	geti := func(key string) int64 {
-		v, err := strconv.ParseInt(ck.Get(key), 10, 64)
-		if err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("testbed: checkpoint meta %q: %w", key, err)
-		}
-		return v
-	}
-	degree, err := strconv.ParseFloat(ck.Get("degree"), 64)
+// write stores the record at path as JSON, atomically (a temp file in
+// the same directory renamed over path), so a crash mid-write never
+// leaves a truncated record.
+func (ck *checkpoint) write(path string) error {
+	b, err := json.Marshal(ck)
 	if err != nil {
-		firstErr = fmt.Errorf("testbed: checkpoint meta \"degree\": %w", err)
+		return fmt.Errorf("testbed: encode checkpoint: %w", err)
 	}
-	cfg := ChaosConfig{
-		Scenario: scen,
-		// Checkpoints from before the topology field carry no key; the
-		// blank value selects the scenario's natural topology, which is
-		// what those runs used.
-		Topology: ck.Get("topology"),
-		// Checkpoints from before the scheme field carry no key; the blank
-		// value re-selects dctcp, which is what those runs used.
-		Scheme:            ck.Get("scheme"),
-		Seed:              geti("seed"),
-		Degree:            degree,
-		FaultAt:           sim.Time(geti("faultAt")),
-		FaultFor:          sim.Time(geti("faultFor")),
-		RecoveryRTTBudget: int(geti("budget")),
-		DigestEvery:       sim.Time(geti("digestEvery")),
-		SentinelWindow:    sim.Time(geti("sentinelWindow")),
-		SentinelPolicy:    sim.SentinelPolicy(geti("sentinelPolicy")),
-		// Checkpoints from before the lossless field carry no key; those
-		// runs were lossy, which is exactly what the blank value selects
-		// (withDefaults re-implies lossless for the lossless scenarios).
-		Lossless: ck.Get("lossless") == "true",
+	tmp := path + ".tmp"
+	if err := os.WriteFile(tmp, b, 0o644); err != nil {
+		return fmt.Errorf("testbed: write %s: %w", tmp, err)
 	}
-	// Checkpoints from before the shards field carry no key; those runs
-	// were serial, which is what the zero value selects.
-	if s := ck.Get("shards"); s != "" {
-		cfg.Shards = int(geti("shards"))
+	if err := os.Rename(tmp, path); err != nil {
+		os.Remove(tmp)
+		return fmt.Errorf("testbed: rename %s: %w", path, err)
 	}
-	return cfg, firstErr
+	return nil
+}
+
+// decodeCheckpoint parses a checkpoint record and resolves the run it
+// records, with every check RunChaos makes before it builds a testbed.
+// A record may come from anywhere, so any bytes yield either an error or
+// a config that Validate accepts.
+func decodeCheckpoint(b []byte) (checkpoint, Config, error) {
+	var ck checkpoint
+	if err := json.Unmarshal(b, &ck); err != nil {
+		return checkpoint{}, Config{}, fmt.Errorf("not a checkpoint record: %w", err)
+	}
+	_, opts, err := chaosTestbed(ck.Config)
+	if err != nil {
+		return checkpoint{}, Config{}, err
+	}
+	return ck, opts, nil
 }
 
 // ReplayReport is the outcome of a verified replay from a checkpoint.
@@ -467,26 +437,28 @@ type ReplayReport struct {
 	// matched the replay; FramesChecked is how many frames were compared.
 	Verified      bool
 	FramesChecked int
-	// Divergence names the first mismatching component when !Verified.
+	// Divergence names the first mismatching component. It is nil when
+	// the frames match, and also when the record holds no frame to
+	// compare, in which case Verified is false.
 	Divergence *snapshot.Divergence
 }
 
 // ResumeChaos resumes the run recorded in a checkpoint file. Resumption
-// is replay-based — pending event closures have no serializable form, but
-// a chaos run is a deterministic function of its recorded configuration —
-// so the run is re-executed from its initial conditions and the recorded
-// digest timeline is verified frame by frame against the replay before
-// the completed result is returned.
+// is replay-based — pending events have no serializable form, but a chaos
+// run is a deterministic function of its recorded configuration — so the
+// run is re-executed from its initial conditions and the recorded digest
+// timeline is verified frame by frame against the replay before the
+// completed result is returned. The replay writes no file.
 func ResumeChaos(path string) (ReplayReport, error) {
-	ck, err := snapshot.ReadFile(path)
+	b, err := os.ReadFile(path)
 	if err != nil {
-		return ReplayReport{}, err
+		return ReplayReport{}, fmt.Errorf("testbed: %w", err)
 	}
-	cfg, err := chaosConfigFromCheckpoint(ck)
+	ck, _, err := decodeCheckpoint(b)
 	if err != nil {
-		return ReplayReport{}, err
+		return ReplayReport{}, fmt.Errorf("testbed: checkpoint %s: %w", path, err)
 	}
-	res, rec, err := runChaos(cfg)
+	res, rec, err := runChaos(ck.Config)
 	if err != nil {
 		return ReplayReport{}, fmt.Errorf("testbed: replay %s: %w", path, err)
 	}

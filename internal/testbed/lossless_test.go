@@ -80,9 +80,9 @@ func TestSentinelPFCCycle(t *testing.T) {
 }
 
 // TestReplayFidelityDumbbell: checkpoint/resume of the dumbbell topology.
-// The two-switch shape round-trips through checkpoint meta and replays to
-// the same digest timeline — the same bar the star and leaf–spine shapes
-// already clear in TestReplayFidelity.
+// The two-switch shape round-trips through the checkpoint record and
+// replays to the same digest timeline — the same bar the star and
+// leaf–spine shapes already clear in TestReplayFidelity.
 func TestReplayFidelityDumbbell(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.ckpt")
 	cfg := ChaosConfig{

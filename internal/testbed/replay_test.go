@@ -39,63 +39,106 @@ func TestGoldenDigestDeterminism(t *testing.T) {
 	}
 }
 
+// resumeWritesNothing resumes the checkpoint record at path from a
+// fresh directory and fails unless the replay wrote no file: the record
+// carries no file setting, the directory it was written in stays empty,
+// and the one it was moved to holds only the record.
+func resumeWritesNothing(t *testing.T, path string) ReplayReport {
+	t.Helper()
+	moved := filepath.Join(t.TempDir(), filepath.Base(path))
+	if err := os.Rename(path, moved); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(moved)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck, _, err := decodeCheckpoint(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c := ck.Config; c.CheckpointPath != "" || c.CheckpointEvery != 0 || c.SnapshotOnStall != "" {
+		t.Fatalf("record carries file settings: path %q every %d stall %q", c.CheckpointPath, c.CheckpointEvery, c.SnapshotOnStall)
+	}
+	rep, err := ResumeChaos(moved)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for dir, want := range map[string]int{filepath.Dir(path): 0, filepath.Dir(moved): 1} {
+		if ents, err := os.ReadDir(dir); err != nil || len(ents) != want {
+			t.Fatalf("after the resume %s holds %d files (err %v), want %d", dir, len(ents), err, want)
+		}
+	}
+	return rep
+}
+
 // TestReplayFidelity: a run that wrote a checkpoint must replay to the
-// same digest timeline and the same final state. Covers 3 seeds × 2 fault
-// scenarios per the acceptance bar (1 × 1 in -short mode).
+// same digest timeline and the same final state, and the replay writes
+// no file. Covers 3 seeds × 3 fault scenarios (1 × 1 in -short mode),
+// plus a 2-shard run and a lossless one.
 func TestReplayFidelity(t *testing.T) {
 	seeds := []int64{7, 19, 101}
 	// trunk-flap exercises checkpoint/resume of a multi-switch (leaf–
-	// spine) testbed: the topology round-trips through checkpoint meta.
+	// spine) testbed: the topology round-trips through the record.
 	scenarios := []string{"credit-stall", "link-flap", "trunk-flap"}
 	if testing.Short() {
 		seeds, scenarios = seeds[:1], scenarios[:1]
 	}
+	type fidelityCase struct {
+		name string
+		cfg  ChaosConfig
+	}
+	var cases []fidelityCase
 	for _, sc := range scenarios {
 		for _, seed := range seeds {
-			t.Run(sc+"/"+string(rune('0'+seed%10)), func(t *testing.T) {
-				path := filepath.Join(t.TempDir(), "run.ckpt")
-				cfg := ChaosConfig{
-					Scenario:        sc,
-					Seed:            seed,
-					DigestEvery:     500 * sim.Microsecond,
-					CheckpointEvery: 100_000,
-					CheckpointPath:  path,
-				}
-				orig, err := RunChaos(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if orig.Checkpoints == 0 {
-					t.Fatal("no checkpoint written — lower CheckpointEvery")
-				}
-				if orig.Frames == 0 {
-					t.Fatal("no digest frames recorded")
-				}
-				rep, err := ResumeChaos(path)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !rep.Verified {
-					t.Fatalf("replay diverged from checkpoint: %v", rep.Divergence)
-				}
-				if rep.FramesChecked == 0 {
-					t.Fatal("replay verified zero frames")
-				}
-				if rep.Result.Digest != orig.Digest {
-					t.Fatalf("replayed final digest %#x != original %#x", rep.Result.Digest, orig.Digest)
-				}
-				if rep.Result.FinalGbps != orig.FinalGbps || rep.Result.Recovered != orig.Recovered {
-					t.Fatalf("replayed metrics differ: %+v vs %+v", rep.Result, orig)
-				}
-			})
+			cases = append(cases, fidelityCase{sc + "/" + string(rune('0'+seed%10)), ChaosConfig{Scenario: sc, Seed: seed}})
 		}
+	}
+	cases = append(cases,
+		// The shard count is recorded: a serial replay of a 2-shard run
+		// registers different components and diverges at frame 0.
+		fidelityCase{"trunk-flap/2-shards", ChaosConfig{Scenario: "trunk-flap", Seed: 7, Shards: 2}},
+		// A lossless run replays on the PFC fabric with DCQCN.
+		fidelityCase{"pause-loss", ChaosConfig{Scenario: "pause-loss", Seed: 7}},
+	)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "run.ckpt")
+			cfg := c.cfg
+			cfg.DigestEvery = 500 * sim.Microsecond
+			cfg.CheckpointEvery = 100_000
+			cfg.CheckpointPath = path
+			orig, err := RunChaos(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if orig.Checkpoints == 0 {
+				t.Fatal("no checkpoint written — lower CheckpointEvery")
+			}
+			if orig.Frames == 0 {
+				t.Fatal("no digest frames recorded")
+			}
+			rep := resumeWritesNothing(t, path)
+			if !rep.Verified {
+				t.Fatalf("replay diverged from checkpoint: %v", rep.Divergence)
+			}
+			if rep.FramesChecked == 0 {
+				t.Fatal("replay verified zero frames")
+			}
+			if rep.Result.Digest != orig.Digest {
+				t.Fatalf("replayed final digest %#x != original %#x", rep.Result.Digest, orig.Digest)
+			}
+			if rep.Result.FinalGbps != orig.FinalGbps || rep.Result.Recovered != orig.Recovered {
+				t.Fatalf("replayed metrics differ: %+v vs %+v", rep.Result, orig)
+			}
+		})
 	}
 }
 
 // TestSentinelCreditStallDeadlock: a PCIe credit-stall that never clears
 // must be caught by the sentinel within bounded virtual time, classified
-// as a deadlock with the credit loop named, and leave a loadable
-// diagnostic snapshot behind.
+// as a deadlock with the credit loop named, and leave a diagnostic
+// record behind that resumes to the same stall.
 func TestSentinelCreditStallDeadlock(t *testing.T) {
 	const faultAt = 6 * sim.Millisecond
 	const window = 500 * sim.Microsecond
@@ -138,25 +181,17 @@ func TestSentinelCreditStallDeadlock(t *testing.T) {
 		t.Fatalf("diagnostic does not render wedged nodes:\n%s", r.Stall.Diagnostic)
 	}
 
-	// The diagnostic snapshot must load and decompose into the full
-	// component set for offline inspection.
-	ck, err := snapshot.ReadFile(r.StallSnapshot)
-	if err != nil {
-		t.Fatal(err)
+	// The record carries the custom plan, so it resumes to the same run:
+	// the same stall at the same instant and the same final state.
+	if r.StallSnapshot != snapPath {
+		t.Fatalf("stall record path %q, want %q", r.StallSnapshot, snapPath)
 	}
-	order, blobs, err := snapshot.DecodeState(ck.State)
-	if err != nil {
-		t.Fatal(err)
+	rep := resumeWritesNothing(t, snapPath)
+	if rep.Result.Stall == nil || rep.Result.Stall.DetectedAt != r.Stall.DetectedAt {
+		t.Fatalf("resumed stall %+v, want one detected at %v", rep.Result.Stall, r.Stall.DetectedAt)
 	}
-	for _, name := range []string{"engine", "rx/nic", "rx/pcie", "hostcc", "faults"} {
-		if _, ok := blobs[name]; !ok {
-			t.Fatalf("snapshot missing component %q (have %d components)", name, len(order))
-		}
-	}
-	// A custom plan is not resumable; the error must say so rather than
-	// replaying the wrong scenario.
-	if _, err := ResumeChaos(r.StallSnapshot); err == nil || !strings.Contains(err.Error(), "custom") {
-		t.Fatalf("resume of custom-plan snapshot: err = %v, want custom-plan rejection", err)
+	if rep.Result.Digest != r.Digest {
+		t.Fatalf("resumed final digest %#x != original %#x", rep.Result.Digest, r.Digest)
 	}
 }
 
@@ -233,16 +268,40 @@ func TestDivergenceDetectorPinpointsComponent(t *testing.T) {
 	}
 }
 
-// TestCheckpointResumeErrors: unreadable and meta-less files fail loudly.
+// TestCheckpointResumeErrors: a file that is missing, is not a record,
+// or records a run RunChaos would refuse fails with an error.
 func TestCheckpointResumeErrors(t *testing.T) {
-	if _, err := ResumeChaos(filepath.Join(t.TempDir(), "absent.ckpt")); err == nil {
+	dir := t.TempDir()
+	if _, err := ResumeChaos(filepath.Join(dir, "absent.ckpt")); err == nil {
 		t.Fatal("resume of missing file did not error")
 	}
-	bad := filepath.Join(t.TempDir(), "bad.ckpt")
-	if err := os.WriteFile(bad, []byte("not a checkpoint"), 0o644); err != nil {
-		t.Fatal(err)
+	for name, body := range map[string]string{
+		"corrupt": "not a checkpoint",
+		// The binary format checkpoints had before the JSON record.
+		"binary-HCCCKPT1": "HCCCKPT1\x01\x00\x00\x00\x00\x00\x00\x00",
+		"no-scenario":     `{"Config":{"Seed":7}}`,
+		"unknown-scheme":  `{"Config":{"Scenario":"link-flap","Scheme":"vegas"}}`,
+	} {
+		path := filepath.Join(dir, name+".ckpt")
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ResumeChaos(path); err == nil {
+			t.Errorf("resume of %s record did not error", name)
+		}
 	}
-	if _, err := ResumeChaos(bad); err == nil {
-		t.Fatal("resume of corrupt file did not error")
-	}
+}
+
+// FuzzCheckpointDecode: -resume reads bytes from anywhere, so whatever
+// they are, decoding a record returns an error or a testbed config that
+// Validate accepts, and never panics. Nothing is built or run.
+func FuzzCheckpointDecode(f *testing.F) {
+	f.Add([]byte(`{"Config":{"Scenario":"credit-stall"}}`))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		if _, opts, err := decodeCheckpoint(b); err == nil {
+			if err := opts.Validate(); err != nil {
+				t.Fatalf("decoded a config Validate rejects: %v", err)
+			}
+		}
+	})
 }

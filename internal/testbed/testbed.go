@@ -220,8 +220,8 @@ func (o Config) Validate() error {
 			}
 		}
 	}
-	if o.Shards < 0 {
-		return fmt.Errorf("testbed: negative Shards %d", o.Shards)
+	if o.Shards < 0 || o.Shards > MaxShards {
+		return fmt.Errorf("testbed: Shards %d outside [0,%d]", o.Shards, MaxShards)
 	}
 	if o.Shards > 1 {
 		if o.Topology.Switches() < 2 {
@@ -288,6 +288,12 @@ func (o Config) Validate() error {
 // memory request in flight, so a degree of 1e7 exhausts memory before
 // the run starts.
 const MaxDegree = 64
+
+// MaxShards bounds Config.Shards, far above any shard count in use (the
+// chaos and CI runs use at most 4). New gives every shard an engine and
+// its queues before any event runs, about 56 KB each on the default
+// leaf–spine, so a shard count of a million would ask for some 50 GB.
+const MaxShards = 64
 
 // DefaultConfig returns the baseline single-sender setup.
 func DefaultConfig() Config {

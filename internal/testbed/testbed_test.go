@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/fabric"
 	"repro/internal/fluid"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -373,6 +374,11 @@ func TestNewValidatesSerial(t *testing.T) {
 		{"signal-weight-above-one", func(o *Config) { o.SignalWeightIS = 5 }},
 		{"negative-mba-write-latency", func(o *Config) { o.MBAWriteLatency = -1 }},
 		{"mba-write-latency-overflow", func(o *Config) { o.MBAWriteLatency = math.MaxInt64 }},
+		// Rejected before New builds a shard, each of which costs ~52 KB.
+		{"shards-above-bound", func(o *Config) {
+			o.Topology = fabric.LeafSpine(2, 2)
+			o.Shards = MaxShards + 1
+		}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -9,12 +9,12 @@ import (
 
 // Recorder samples per-component digest frames from a running testbed.
 type Recorder struct {
-	Registry *snapshot.Registry // the registry the frames hash
-	Timeline snapshot.Timeline  // the frames recorded so far
+	Timeline snapshot.Timeline // the frames recorded so far
 	// OnFrame, when set, runs inside each tick after the frame is
 	// appended, so work done there (checkpoint capture) adds no events.
 	OnFrame func()
 
+	reg       *snapshot.Registry // the registry the frames hash
 	tb        *Testbed
 	recording bool
 }
@@ -23,7 +23,7 @@ type Recorder struct {
 // (period <= 0 records none). When sharded, the hook runs on the
 // coordinator with every shard quiesced, so a frame reads one state.
 func (tb *Testbed) Record(period sim.Time) *Recorder {
-	r := &Recorder{Registry: tb.Registry(), tb: tb, recording: period > 0}
+	r := &Recorder{reg: tb.Registry(), tb: tb, recording: period > 0}
 	if r.recording {
 		tb.Every(period, func() {
 			if !r.recording {
@@ -39,7 +39,7 @@ func (tb *Testbed) Record(period sim.Time) *Recorder {
 }
 
 func (r *Recorder) frame() snapshot.Frame {
-	return snapshot.Frame{At: int64(r.tb.Now()), Events: r.tb.Processed(), Digests: r.Registry.Digests()}
+	return snapshot.Frame{At: int64(r.tb.Now()), Events: r.tb.Processed(), Digests: r.reg.Digests()}
 }
 
 // Stop ends recording through the flag, leaving the hook scheduled so no
