@@ -284,7 +284,7 @@ func (x *Experiment) Instruments() []string { return x.tb.Reg.Names() }
 // Sample is one instrument reading, delivered to Observe callbacks.
 type Sample struct {
 	Name  string  // instrument name, e.g. "receiver/iio/occupancy"
-	Kind  string  // "counter", "gauge", "histogram" or "series"
+	Kind  string  // "counter", "gauge" or "histogram"
 	Unit  string  // e.g. "bytes", "lines", "pkts"
 	Help  string  // one-line description
 	Value float64 // current value (histograms report their sample count)

@@ -47,6 +47,9 @@ func TestBadInputsReturnErrors(t *testing.T) {
 	losslessErr := func(cfg LosslessStudyConfig) func() error {
 		return func() error { _, err := RunLosslessStudy(cfg); return err }
 	}
+	scaleOutErr := func(cfg ScaleOutConfig) func() error {
+		return func() error { _, err := RunScaleOut(cfg); return err }
+	}
 	for _, tc := range []struct {
 		name string
 		run  func() error
@@ -95,6 +98,12 @@ func TestBadInputsReturnErrors(t *testing.T) {
 		{"negative sample interval", newErr(WithSampleInterval(-1))},
 		{"chaos with negative fault duration", chaosErr(ChaosConfig{Scenario: "link-flap", FaultFor: -1})},
 		{"chaos with negative fault start", chaosErr(ChaosConfig{Scenario: "link-flap", FaultAt: -1})},
+		{"chaos with a digest period below the floor", chaosErr(ChaosConfig{Scenario: "link-flap", DigestEvery: testbed.MinPeriod - 1})},
+		{"chaos with a negative digest period", chaosErr(ChaosConfig{Scenario: "link-flap", DigestEvery: -1})},
+		{"chaos with a sentinel window below the floor", chaosErr(ChaosConfig{Scenario: "link-flap", SentinelWindow: testbed.MinPeriod - 1})},
+		{"chaos with a negative sentinel window", chaosErr(ChaosConfig{Scenario: "link-flap", SentinelWindow: -1})},
+		{"scale-out with a digest period below the floor", scaleOutErr(ScaleOutConfig{DigestEvery: testbed.MinPeriod - 1})},
+		{"scale-out with a negative digest period", scaleOutErr(ScaleOutConfig{DigestEvery: -1})},
 		{"lossless with negative RPC size", losslessErr(LosslessStudyConfig{RPCSize: -1})},
 		{"lossless with negative RPC count", losslessErr(LosslessStudyConfig{RPCCount: -1})},
 	} {

@@ -21,8 +21,10 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"sort"
 	"time"
 
 	"repro/internal/crucible"
@@ -144,12 +146,7 @@ func search(f *crucibleFlags) error {
 	}
 	start := time.Now()
 	res := crucible.Search(cfg)
-	st := res.Stats
-	fmt.Printf("searched %d scenario(s), %d battery run(s) (%d shrinking) in %v: %d failure(s)\n",
-		st.Scenarios, st.Runs, st.ShrinkRuns, time.Since(start).Round(time.Millisecond), st.Failures)
-	for oracle, n := range st.ByOracle {
-		fmt.Printf("  failed %s: %d\n", oracle, n)
-	}
+	writeSummary(os.Stdout, res.Stats, time.Since(start))
 	for _, fd := range res.Findings {
 		fmt.Printf("seed %d: %s\n  minimized to %d injection(s): %s\n",
 			fd.Seed, fd.Verdict, len(fd.Minimized.Faults), fd.MinVerdict)
@@ -169,4 +166,19 @@ func search(f *crucibleFlags) error {
 		return fmt.Errorf("%d scenario(s) failed the oracle battery", len(res.Findings))
 	}
 	return nil
+}
+
+// writeSummary prints the search's totals, then one line per failed
+// oracle in name order, so two identical searches print the same lines.
+func writeSummary(w io.Writer, st crucible.Stats, elapsed time.Duration) {
+	fmt.Fprintf(w, "searched %d scenario(s), %d battery run(s) (%d shrinking) in %v: %d failure(s)\n",
+		st.Scenarios, st.Runs, st.ShrinkRuns, elapsed.Round(time.Millisecond), st.Failures)
+	oracles := make([]string, 0, len(st.ByOracle))
+	for oracle := range st.ByOracle {
+		oracles = append(oracles, oracle)
+	}
+	sort.Strings(oracles)
+	for _, oracle := range oracles {
+		fmt.Fprintf(w, "  failed %s: %d\n", oracle, st.ByOracle[oracle])
+	}
 }

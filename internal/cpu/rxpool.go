@@ -264,7 +264,8 @@ func (p *RxPool) done(c64, _ uint64) {
 		p.onDone(job.w.Pkt)
 	}
 	// Terminal point of the receive path: nothing above retains the
-	// packet (the transport reads it synchronously; tracers clone).
+	// packet (the transport reads it synchronously, and a receive hook
+	// must not keep it after its call returns).
 	p.pool.Put(job.w.Pkt)
 	p.busy[c] = false
 	p.dispatch(c)

@@ -66,7 +66,7 @@ func TestCanaryHuntFindsPlantedBug(t *testing.T) {
 		t.Fatalf("replays diverge:\n%+v\n%+v", v1, v2)
 	}
 
-	// Search telemetry accounted for the hunt.
+	// The search's stats accounted for the hunt.
 	if res.Stats.Failures != 1 || res.Stats.ByOracle[OraclePanic] != 1 {
 		t.Errorf("stats miscounted: %+v", res.Stats)
 	}

@@ -5,8 +5,6 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
-
-	"repro/internal/telemetry"
 )
 
 // Every generated scenario must pass its own validation — the generator
@@ -162,29 +160,5 @@ func TestReproReadWriteValidate(t *testing.T) {
 	bad.Version = 99
 	if err := bad.Validate(); err == nil {
 		t.Error("Validate accepted an unknown repro version")
-	}
-}
-
-func TestStatsInstruments(t *testing.T) {
-	s := &Stats{Scenarios: 5, Runs: 9, ShrinkRuns: 3, Failures: 1,
-		ByOracle: map[string]int{OraclePanic: 1}}
-	reg := telemetry.NewRegistry()
-	s.RegisterInstruments(reg, "crucible")
-	want := map[string]float64{
-		"crucible/scenarios":    5,
-		"crucible/runs":         9,
-		"crucible/shrink-runs":  3,
-		"crucible/failures":     1,
-		"crucible/failed/panic": 1,
-	}
-	for name, val := range want {
-		inst, ok := reg.Get(name)
-		if !ok {
-			t.Errorf("instrument %s not registered", name)
-			continue
-		}
-		if got := inst.Value(); got != val {
-			t.Errorf("instrument %s = %v, want %v", name, got, val)
-		}
 	}
 }

@@ -1,7 +1,5 @@
 package crucible
 
-import "repro/internal/telemetry"
-
 // SearchConfig parameterizes one chaos search.
 type SearchConfig struct {
 	// SeedStart is the first generator seed (default 1).
@@ -52,7 +50,7 @@ func (f Finding) Repro(note string) Repro {
 	}
 }
 
-// Stats is the search's telemetry: scenario and oracle accounting.
+// Stats is the search's scenario and oracle accounting.
 type Stats struct {
 	// Scenarios counts generated scenarios; Runs counts oracle-battery
 	// executions (each is two engine runs); ShrinkRuns counts the subset
@@ -63,27 +61,6 @@ type Stats struct {
 	Failures   int
 	// ByOracle counts failing scenarios per failed oracle name.
 	ByOracle map[string]int
-}
-
-// RegisterInstruments exposes the counters on a telemetry registry under
-// prefix (e.g. "crucible/scenarios").
-func (s *Stats) RegisterInstruments(reg *telemetry.Registry, prefix string) {
-	reg.Counter(prefix+"/scenarios", "count", "scenarios generated and judged",
-		func() float64 { return float64(s.Scenarios) })
-	reg.Counter(prefix+"/runs", "count", "oracle-battery executions (search + shrink)",
-		func() float64 { return float64(s.Runs) })
-	reg.Counter(prefix+"/shrink-runs", "count", "oracle-battery executions spent minimizing",
-		func() float64 { return float64(s.ShrinkRuns) })
-	reg.Counter(prefix+"/failures", "count", "scenarios that failed at least one oracle",
-		func() float64 { return float64(s.Failures) })
-	for _, oracle := range []string{
-		OraclePanic, OracleInvariant, OracleLiveness, OracleDeterminism,
-		OracleGoodput, OracleVictim,
-	} {
-		oracle := oracle
-		reg.Counter(prefix+"/failed/"+oracle, "count", "scenarios that failed the "+oracle+" oracle",
-			func() float64 { return float64(s.ByOracle[oracle]) })
-	}
 }
 
 // Result is one completed search.

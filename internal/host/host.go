@@ -65,7 +65,8 @@ func DefaultConfig(id packet.HostID, mtu int, ddio bool) Config {
 
 // ReceiveHook observes (and may mutate) packets after CPU processing and
 // before transport delivery — the NetFilter ip_recv hook position hostCC
-// uses for ECN marking (§4.3).
+// uses for ECN marking (§4.3). It must not keep the packet after it
+// returns: the rx path releases it to the pool.
 type ReceiveHook func(*packet.Packet)
 
 // Host is one fully composed server.

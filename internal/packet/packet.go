@@ -1,10 +1,6 @@
 // Package packet defines the packet model shared by the NIC, fabric,
-// transport and hostCC receive hook.
-//
-// Simulated packets carry structured fields rather than raw bytes on the
-// hot path, but the header has a defined wire format (see header.go) with
-// a tested serialize/parse round-trip, so components that want byte-level
-// realism (tracing, the example packet dumper) can use it.
+// transport and hostCC receive hook. Simulated packets carry structured
+// header fields; payload bytes are never materialized.
 package packet
 
 import (
@@ -165,18 +161,4 @@ func (p *Packet) End() uint64 { return p.Seq + uint64(p.PayloadLen) }
 func (p *Packet) String() string {
 	return fmt.Sprintf("%v seq=%d ack=%d len=%d %v %v",
 		p.Flow, p.Seq, p.Ack, p.PayloadLen, p.Flags, p.ECN)
-}
-
-// Clone returns a copy of the packet (used by retransmission paths so the
-// original bookkeeping cannot be mutated by downstream components).
-func (p *Packet) Clone() *Packet {
-	c := *p
-	if p.SACK != nil {
-		c.SACK = append([]SackBlock(nil), p.SACK...)
-	}
-	// A clone is an independent, unpooled packet regardless of the
-	// original's lifecycle state.
-	c.poolState = poolStateLoose
-	c.poolDebug = poolDebug{}
-	return &c
 }

@@ -17,7 +17,8 @@ import (
 // transport acquires on transmit; ownership transfers down the stack
 // with the packet; whichever component removes the packet from the
 // simulation (terminal delivery in the CPU rx path, or any drop point)
-// releases it. Trace sinks that want to retain a packet must Clone it.
+// releases it. A receive hook sees the packet only for the length of its
+// call and must not keep it after the call returns.
 //
 // A nil *Pool is valid and falls back to plain allocation with no-op
 // release, so components can keep pooling optional.

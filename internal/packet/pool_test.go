@@ -77,14 +77,19 @@ func TestPoolDoubleReleasePanics(t *testing.T) {
 	p.Put(pkt)
 }
 
+// A packet the pool never handed out is adopted on Put, not reported as
+// a double release: drop points release whatever they hold.
 func TestPoolClonePutIsIndependent(t *testing.T) {
 	p := NewPool(1)
 	pkt := p.Get()
-	clone := pkt.Clone()
+	loose := new(Packet)
 	p.Put(pkt)
-	p.Put(clone) // adopted, not a double release
+	p.Put(loose) // adopted, not a double release
 	if p.FreeLen() != 2 {
 		t.Fatalf("FreeLen = %d, want 2", p.FreeLen())
+	}
+	if got := p.Get(); got != loose {
+		t.Fatal("the adopted packet was not recycled")
 	}
 }
 

@@ -1,12 +1,13 @@
-// Package stats provides the measurement primitives shared by the
-// simulator and the hostCC module: exponentially weighted moving
-// averages (the paper's congestion-signal filters), log-bucketed latency
-// histograms (tail latency figures), windowed rate meters (throughput and
-// memory-bandwidth figures), and time-series recorders (the microscopic
-// behaviour figures 8, 18 and 19).
+// Package stats is the arithmetic that device models and figure runners
+// compute with: exponentially weighted moving averages (the paper's
+// congestion-signal filters), log-bucketed latency histograms (tail
+// latency figures), windowed rate meters and counters (throughput and
+// memory-bandwidth figures), time-weighted integrals (the IIO's ROCC
+// counter), and the time-series recorder behind the microscopic
+// behaviour figures 8, 18 and 19. It names nothing that a run reports:
+// every named instrument, and the only per-packet record, belong to
+// internal/telemetry.
 package stats
-
-import "math"
 
 // EWMA is an exponentially weighted moving average
 //
@@ -41,62 +42,6 @@ func (e *EWMA) Update(sample float64) {
 
 // Value returns the current average (zero before any update).
 func (e *EWMA) Value() float64 { return e.v }
-
-// Weight returns the configured weight.
-func (e *EWMA) Weight() float64 { return e.w }
-
-// Reset clears the average.
-func (e *EWMA) Reset() { e.v = 0; e.started = false }
-
-// Mean is a simple running mean with count, for summary metrics.
-type Mean struct {
-	sum float64
-	n   int64
-}
-
-// Add folds in one sample.
-func (m *Mean) Add(v float64) { m.sum += v; m.n++ }
-
-// Value returns the mean, or 0 with no samples.
-func (m *Mean) Value() float64 {
-	if m.n == 0 {
-		return 0
-	}
-	return m.sum / float64(m.n)
-}
-
-// Count returns the number of samples.
-func (m *Mean) Count() int64 { return m.n }
-
-// Welford tracks mean and variance online (used by calibration tests to
-// check signal stability claims).
-type Welford struct {
-	n    int64
-	mean float64
-	m2   float64
-}
-
-// Add folds in one sample.
-func (w *Welford) Add(x float64) {
-	w.n++
-	d := x - w.mean
-	w.mean += d / float64(w.n)
-	w.m2 += d * (x - w.mean)
-}
-
-// Mean returns the running mean.
-func (w *Welford) Mean() float64 { return w.mean }
-
-// Count returns the number of samples.
-func (w *Welford) Count() int64 { return w.n }
-
-// Stddev returns the sample standard deviation.
-func (w *Welford) Stddev() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return math.Sqrt(w.m2 / float64(w.n-1))
-}
 
 // JainIndex computes Jain's fairness index over a set of allocations:
 // (Σx)² / (n·Σx²), 1.0 = perfectly fair, 1/n = maximally unfair. Used to

@@ -107,12 +107,3 @@ func (tw *TimeWeighted) Integral(t sim.Time) float64 {
 	}
 	return tw.integral + tw.val*float64(t-tw.last)
 }
-
-// AverageBetween returns the time-averaged value over [t1, t2] given the
-// integrals sampled at those instants.
-func AverageBetween(i1, i2 float64, t1, t2 sim.Time) float64 {
-	if t2 <= t1 {
-		return 0
-	}
-	return (i2 - i1) / float64(t2-t1)
-}

@@ -1,10 +1,13 @@
-// Package telemetry is the unified observability layer over the
-// simulator: a registry of named instruments that every device model
-// registers into, and a structured event tracer that records
-// packet-lifecycle spans (per-hop residence with stall cause) and
-// on-change counter tracks, exportable as Chrome-trace/Perfetto JSON.
+// Package telemetry is the simulator's one observability layer: a
+// registry of named instruments that every device model registers into,
+// and a structured event tracer that records packet-lifecycle spans
+// (per-hop residence with stall cause) and on-change counter tracks,
+// exportable as Chrome-trace/Perfetto JSON. It owns every named
+// instrument and the run's only per-packet record; internal/stats holds
+// the arithmetic behind them.
 //
-// Two invariants shape the design (see DESIGN.md "Telemetry"):
+// Two invariants shape the design (see DESIGN.md "Telemetry &
+// observability"):
 //
 //   - Zero disabled-path cost. Components hold a nil *Tracer / nil *Track
 //     by default; every hot-path hook is a single nil check. The registry
@@ -37,8 +40,6 @@ const (
 	KindGauge
 	// KindHistogram is a latency/size distribution.
 	KindHistogram
-	// KindSeries is a time-weighted running value (occupancy averages).
-	KindSeries
 )
 
 func (k Kind) String() string {
@@ -49,8 +50,6 @@ func (k Kind) String() string {
 		return "gauge"
 	case KindHistogram:
 		return "histogram"
-	case KindSeries:
-		return "series"
 	}
 	return "unknown"
 }
@@ -111,11 +110,6 @@ func (r *Registry) Counter(name, unit, help string, fn func() float64) {
 // Gauge registers an instantaneous value read through fn.
 func (r *Registry) Gauge(name, unit, help string, fn func() float64) {
 	r.add(&Instrument{Name: name, Kind: KindGauge, Unit: unit, Help: help, read: fn})
-}
-
-// Series registers a time-weighted running value read through fn.
-func (r *Registry) Series(name, unit, help string, fn func() float64) {
-	r.add(&Instrument{Name: name, Kind: KindSeries, Unit: unit, Help: help, read: fn})
 }
 
 // Histogram registers a distribution instrument over h.

@@ -98,17 +98,6 @@ func TestTracerSpans(t *testing.T) {
 	}
 }
 
-func TestTracerSpanDropDiscards(t *testing.T) {
-	tr := NewTracer()
-	p := testPkt(7)
-	tr.PacketSpanBegin(HopNICQueue, p, 1)
-	tr.PacketSpanDrop(HopNICQueue, p)
-	tr.PacketSpanEnd(HopNICQueue, p, 9, "")
-	if n := len(tr.Timeline().Spans); n != 0 {
-		t.Fatalf("dropped span recorded: %d", n)
-	}
-}
-
 func TestTracerSpanCap(t *testing.T) {
 	tr := NewTracer()
 	tr.SetMaxSpans(2)
@@ -141,7 +130,6 @@ func TestNilTracerZeroAlloc(t *testing.T) {
 	allocs := testing.AllocsPerRun(1000, func() {
 		tr.PacketSpanBegin(HopNICQueue, p, 5)
 		tr.PacketSpanEnd(HopNICQueue, p, 9, "cause")
-		tr.PacketSpanDrop(HopIIOMem, p)
 		tr.RangeBegin(HopSample, 3, 1)
 		tr.RangeEnd(HopSample, 3, 2, "")
 		tk.Set(7, 3.5)

@@ -137,15 +137,6 @@ func (t *Tracer) PacketSpanEnd(hop Hop, p *packet.Packet, at sim.Time, cause str
 	t.closeSpan(spanKey{hop, p.Flow, p.Seq}, at, cause, true)
 }
 
-// PacketSpanDrop discards an open span without recording it (the packet
-// left the hop abnormally and an instant event tells that story instead).
-func (t *Tracer) PacketSpanDrop(hop Hop, p *packet.Packet) {
-	if t == nil {
-		return
-	}
-	delete(t.open, spanKey{hop, p.Flow, p.Seq})
-}
-
 // RangeBegin opens a non-packet span (an MBA write, a signal sample)
 // identified by id within hop.
 func (t *Tracer) RangeBegin(hop Hop, id uint64, at sim.Time) {

@@ -18,6 +18,22 @@ import (
 // times and budgets are stated in (chaos acceptance, crucible probes).
 const BaseRTT = 44 * sim.Microsecond
 
+// MinPeriod is the shortest digest-frame period and sentinel stall window
+// a chaos or scale-out run accepts, 50× below the 500 µs every run uses.
+// A 1 ns digest period asks a chaos run for millions of frames (some
+// 12 GB of digests), and a window of a few ns makes the sentinel check
+// every nanosecond and call any lull of a few ns a stall.
+const MinPeriod = 10 * sim.Microsecond
+
+// checkPeriod accepts 0 (the feature off) or a period of at least
+// MinPeriod.
+func checkPeriod(field string, p sim.Time) error {
+	if p < 0 || (p > 0 && p < MinPeriod) {
+		return fmt.Errorf("testbed: %s %v must be 0 or at least %v", field, p, MinPeriod)
+	}
+	return nil
+}
+
 // ChaosConfig parameterizes one chaos run: a fault scenario injected into
 // a loaded testbed, with throughput tracked through the fault and out the
 // other side.
@@ -56,9 +72,10 @@ type ChaosConfig struct {
 	RecoveryRTTBudget int
 
 	// DigestEvery records a per-component state digest frame at this
-	// virtual period (0 disables recording). Recording schedules its own
-	// events, so digest timelines are only comparable between runs using
-	// the same recording configuration.
+	// virtual period (0 disables recording; otherwise at least
+	// MinPeriod). Recording schedules its own events, so digest
+	// timelines are only comparable between runs using the same
+	// recording configuration.
 	DigestEvery sim.Time
 	// CheckpointEvery writes a checkpoint to CheckpointPath each time the
 	// processed-event count crosses a multiple of this value (0 disables).
@@ -71,9 +88,10 @@ type ChaosConfig struct {
 	CheckpointPath  string `json:"-"`
 
 	// SentinelWindow arms the liveness sentinel with this stall window
-	// (0 disables). SentinelPolicy selects abort-with-diagnostic vs
-	// credit-timeout escape; SnapshotOnStall, when non-empty, is where the
-	// abort path writes the diagnostic checkpoint for offline replay.
+	// (0 disables; otherwise at least MinPeriod). SentinelPolicy selects
+	// abort-with-diagnostic vs credit-timeout escape; SnapshotOnStall,
+	// when non-empty, is where the abort path writes the diagnostic
+	// checkpoint for offline replay.
 	SentinelWindow  sim.Time
 	SentinelPolicy  sim.SentinelPolicy
 	SnapshotOnStall string `json:"-"`
@@ -212,6 +230,12 @@ func chaosTestbed(cfg ChaosConfig) (ChaosConfig, Config, error) {
 	}
 	if cfg.CheckpointEvery > 0 && cfg.CheckpointPath == "" {
 		return cfg, Config{}, fmt.Errorf("testbed: ChaosConfig.CheckpointEvery set without CheckpointPath")
+	}
+	if err := checkPeriod("ChaosConfig.DigestEvery", cfg.DigestEvery); err != nil {
+		return cfg, Config{}, err
+	}
+	if err := checkPeriod("ChaosConfig.SentinelWindow", cfg.SentinelWindow); err != nil {
+		return cfg, Config{}, err
 	}
 	info := scenarioInfo(plan.Name)
 	topoName := cfg.Topology

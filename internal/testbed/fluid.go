@@ -30,14 +30,6 @@ type FluidBackground struct {
 	Flows int
 	// Promotable is how many leading flows get packet twins (default 0).
 	Promotable int
-
-	// Tick, RTT, Scheme and InitRate feed fluid.Config (zero = that
-	// package's defaults: 20 µs, 44 µs, dctcp, 100 Mbps). The AIMD MSS
-	// is the testbed MTU.
-	Tick     sim.Time
-	RTT      sim.Time
-	Scheme   string
-	InitRate sim.Rate
 }
 
 func (f FluidBackground) withDefaults() FluidBackground {
@@ -58,18 +50,13 @@ func (f FluidBackground) validate(mtu int) error {
 	if f.Promotable < 0 || f.Promotable > f.Flows {
 		return fmt.Errorf("testbed: FluidBackground.Promotable %d outside [0, Flows=%d]", f.Promotable, f.Flows)
 	}
-	return f.fluidConfig(mtu).Validate()
+	return fluidConfig(mtu).Validate()
 }
 
-func (f FluidBackground) fluidConfig(mtu int) fluid.Config {
-	return fluid.Config{
-		Tick:     f.Tick,
-		RTT:      f.RTT,
-		MSS:      mtu,
-		Scheme:   f.Scheme,
-		InitRate: f.InitRate,
-	}
-}
+// fluidConfig is the fluid tier's config: the fluid package's defaults
+// for tick, RTT, scheme and initial rate, with the testbed MTU as the
+// AIMD MSS.
+func fluidConfig(mtu int) fluid.Config { return fluid.Config{MSS: mtu} }
 
 // buildFluid wires the fluid tier into a fully built testbed: seam
 // resources over every real access link and trunk port, virtual
@@ -82,7 +69,7 @@ func (f FluidBackground) fluidConfig(mtu int) fluid.Config {
 func (tb *Testbed) buildFluid() {
 	opts := tb.Opts
 	fbCfg := opts.FluidBackground.withDefaults()
-	net := fluid.New(fbCfg.fluidConfig(opts.MTU))
+	net := fluid.New(fluidConfig(opts.MTU))
 	topo := opts.Topology
 	racks := topo.Racks()
 	spines := topo.Switches() - racks

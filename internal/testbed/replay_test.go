@@ -281,7 +281,16 @@ func TestCheckpointResumeErrors(t *testing.T) {
 		"binary-HCCCKPT1": "HCCCKPT1\x01\x00\x00\x00\x00\x00\x00\x00",
 		"no-scenario":     `{"Config":{"Seed":7}}`,
 		"unknown-scheme":  `{"Config":{"Scenario":"link-flap","Scheme":"vegas"}}`,
+		// Periods below MinPeriod: ~7M digest frames, or a sentinel
+		// checking every nanosecond.
+		"digest-every-1ns":    `{"Config":{"Scenario":"credit-stall","DigestEvery":1}}`,
+		"sentinel-window-1ns": `{"Config":{"Scenario":"credit-stall","SentinelWindow":1}}`,
 	} {
+		// A record that decodes would be replayed in full: never resume one.
+		if _, _, err := decodeCheckpoint([]byte(body)); err == nil {
+			t.Errorf("%s record decoded", name)
+			continue
+		}
 		path := filepath.Join(dir, name+".ckpt")
 		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
 			t.Fatal(err)
@@ -294,13 +303,21 @@ func TestCheckpointResumeErrors(t *testing.T) {
 
 // FuzzCheckpointDecode: -resume reads bytes from anywhere, so whatever
 // they are, decoding a record returns an error or a testbed config that
-// Validate accepts, and never panics. Nothing is built or run.
+// Validate accepts, with each period 0 or at least MinPeriod, and never
+// panics. Nothing is built or run.
 func FuzzCheckpointDecode(f *testing.F) {
 	f.Add([]byte(`{"Config":{"Scenario":"credit-stall"}}`))
 	f.Fuzz(func(t *testing.T, b []byte) {
-		if _, opts, err := decodeCheckpoint(b); err == nil {
-			if err := opts.Validate(); err != nil {
-				t.Fatalf("decoded a config Validate rejects: %v", err)
+		ck, opts, err := decodeCheckpoint(b)
+		if err != nil {
+			return
+		}
+		if err := opts.Validate(); err != nil {
+			t.Fatalf("decoded a config Validate rejects: %v", err)
+		}
+		for _, p := range []sim.Time{ck.Config.DigestEvery, ck.Config.SentinelWindow} {
+			if p != 0 && p < MinPeriod {
+				t.Fatalf("decoded a period of %v, below MinPeriod", p)
 			}
 		}
 	})

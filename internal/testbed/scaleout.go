@@ -56,7 +56,8 @@ type ScaleOutConfig struct {
 	Warmup  sim.Time
 	Measure sim.Time
 
-	// DigestEvery is the digest-frame recording period (0 = 500 µs).
+	// DigestEvery is the digest-frame recording period (0 = 500 µs;
+	// otherwise at least MinPeriod).
 	DigestEvery sim.Time
 	// VerifyReplay runs the config twice through RunVerified; a
 	// divergence is returned as an error naming the most upstream
@@ -171,6 +172,9 @@ func (r ScaleOutResult) String() string {
 // cfg: same config, same digest timeline, frame for frame.
 func RunScaleOut(cfg ScaleOutConfig) (ScaleOutResult, error) {
 	cfg = cfg.withDefaults()
+	if err := checkPeriod("ScaleOutConfig.DigestEvery", cfg.DigestEvery); err != nil {
+		return ScaleOutResult{}, err
+	}
 	res, div, err := RunVerified(cfg.VerifyReplay, func() (ScaleOutResult, snapshot.Recording, error) {
 		return runScaleOut(cfg)
 	})

@@ -358,17 +358,11 @@ func TestNewValidatesSerial(t *testing.T) {
 		{"fixed-level-below-dynamic", func(o *Config) { o.FixedLevel = -5 }},
 		{"mode-out-of-range", func(o *Config) { o.Mode = core.ModeOff + 1 }},
 		{"negative-flows", func(o *Config) { o.Flows = -1 }},
-		{"fluid-rtt-window-overflow", func(o *Config) {
-			o.FluidBackground = &FluidBackground{Hosts: 2, Tick: sim.Nanosecond, RTT: 65536 * sim.Nanosecond}
-		}},
 		{"fluid-flows-above-bound", func(o *Config) {
 			o.FluidBackground = &FluidBackground{Hosts: 2, Flows: fluid.MaxFlows + 1}
 		}},
 		{"fluid-hosts-above-bound", func(o *Config) {
 			o.FluidBackground = &FluidBackground{Hosts: fluid.MaxFlows + 1, Flows: 8}
-		}},
-		{"fluid-nan-init-rate", func(o *Config) {
-			o.FluidBackground = &FluidBackground{Hosts: 2, InitRate: sim.Rate(math.NaN())}
 		}},
 		{"infinite-degree", func(o *Config) { o.Degree = math.Inf(1) }},
 		{"signal-weight-above-one", func(o *Config) { o.SignalWeightIS = 5 }},
