@@ -95,11 +95,11 @@ func BenchmarkFluidDigest(b *testing.B) {
 
 // TestFluidTickZeroAlloc guards the integrator's steady state: after
 // its first call Tick allocates nothing, however many flows it steps,
-// and a flow record stays within the 48 bytes a million-flow population
-// is sized by.
+// and a flow's hot and cold records stay within the 32 and 16 bytes a
+// million-flow population is sized by.
 func TestFluidTickZeroAlloc(t *testing.T) {
-	if size := unsafe.Sizeof(flow{}); size > 48 {
-		t.Fatalf("flow record is %d bytes, want at most 48", size)
+	if hot, cold := unsafe.Sizeof(flow{}), unsafe.Sizeof(coldFlow{}); hot > 32 || cold > 16 {
+		t.Fatalf("flow records are %d bytes hot and %d cold, want at most 32 and 16", hot, cold)
 	}
 	net := leafSpine(20_000)
 	net.Tick(0)

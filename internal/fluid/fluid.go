@@ -165,7 +165,8 @@ type ResourceID int32
 
 // maxHops bounds a fluid flow's path: up-access, leaf trunk, spine
 // trunk, down-access. Inline storage keeps a million-flow population at
-// 48 bytes per flow with no per-flow allocation.
+// 48 bytes per flow (a 32-byte hot record and a 16-byte cold one) with
+// no per-flow allocation.
 const maxHops = 4
 
 // The flow pass sums rates across flows as int64 counts of a fixed-point
@@ -198,7 +199,7 @@ const (
 const chunkFlows = 4096
 
 // resource is one serializing capacity: its configuration and its
-// integrated queue. What flows read of it each tick is in Network.view.
+// integrated queue. What flows read of it each tick is its view.
 type resource struct {
 	cap     float64 // bytes/sec
 	buf     float64 // buffer bytes (overflow above it is loss)
@@ -209,14 +210,17 @@ type resource struct {
 }
 
 // view is one resource's outcome of the current tick, the only part of
-// it the flow pass reads: 8 bytes, eight to a cache line.
-type view struct {
-	// frac is the fraction of demand served this tick, truncated to
-	// fracBits fixed point (1<<fracBits when all of it is), so a flow
-	// takes its path minimum with branch-free integer compares.
-	frac uint32
-	bits uint8 // vMarked | vLossy | vHot | vNotCalm
-}
+// it the flow pass reads, in one word: frac<<viewShift | bits. frac is
+// the fraction of demand served this tick, truncated to fracBits fixed
+// point (1<<fracBits when all of it is, so 25 bits); bits is vMarked |
+// vLossy | vHot | vNotCalm. The frac field orders the words, so a flow
+// takes its path's minimum served fraction as the minimum of its views
+// shifted down, and its bits as the OR of its views masked, with
+// branch-free integer operations on four loads.
+type view uint32
+
+// viewShift is the width of a view's bits field.
+const viewShift = 4
 
 // view bits. A flow ORs them over its path.
 const (
@@ -224,6 +228,8 @@ const (
 	vLossy               // offered bytes overflowed the buffer this tick
 	vHot                 // out of the fluid regime: deep queue, loss, or fault
 	vNotCalm             // combined queue at or above DemoteFrac × threshold, or faulted
+
+	viewBits = 1<<viewShift - 1
 )
 
 // Flow state bits.
@@ -236,19 +242,26 @@ const (
 // or demote hysteresis fired, and its hook runs after the pass.
 const evDemote = 1
 
+// flow is a flow's hot record, 32 bytes: every field the pass reads on
+// every tick. A tick that ends no window reads and writes only this
+// record of a flow that is neither promotable nor promoted.
 type flow struct {
-	path  [maxHops]ResourceID // hops past npath repeat the last hop
-	npath uint8
-	state uint8
-
-	winLeft     uint16 // ticks until the current RTT window ends
+	path        [maxHops]ResourceID // hops past npath repeat the last hop
+	rate        float64             // bytes/sec
+	winLeft     uint16              // ticks until the current RTT window ends
 	markedTicks uint16
 	lossTicks   uint16
-	congTicks   uint16 // consecutive ticks with a hot path resource
-	calmTicks   uint16 // consecutive ticks with an all-calm path
+	npath       uint8
+	state       uint8
+}
 
-	rate  float64 // bytes/sec
-	alpha float64 // DCTCP congestion estimate
+// coldFlow is a flow's cold record, 16 bytes, in Network.cold beside
+// its hot record: only a window end, a promotable flow's hysteresis, a
+// promoted flow's calm count, demoteFlow and Snapshot touch it.
+type coldFlow struct {
+	alpha     float64 // DCTCP congestion estimate
+	congTicks uint16  // consecutive ticks with a hot path resource
+	calmTicks uint16  // consecutive ticks with an all-calm path
 }
 
 // Network is one fluid-flow population over a set of resources.
@@ -257,7 +270,8 @@ type Network struct {
 	cc          transport.FluidCC
 	res         []resource
 	view        []view
-	flows       []flow
+	flows       []flow     // hot records
+	cold        []coldFlow // cold records, indexed as flows
 	windowTicks uint16
 
 	// unit is the fixed-point rate unit in bytes/sec and scale its
@@ -294,10 +308,9 @@ type Network struct {
 // part is one participant's scratch. Slot 0 is the caller, which
 // changes the network's demand in place; helpers collect theirs here.
 type part struct {
-	demand  []int64
-	served  int64  // Σ rate × served fraction, rate units
-	used    bool   // claimed a chunk this tick
-	records []byte // one chunk's encoded flow records (Snapshot)
+	demand []int64
+	served int64 // Σ rate × served fraction, rate units
+	used   bool  // claimed a chunk this tick
 }
 
 // New creates an empty network. Panics on an invalid config (build-time
@@ -347,7 +360,7 @@ func (n *Network) AddResource(capacity sim.Rate, bufBytes, ecnBytes int) Resourc
 		buf: float64(bufBytes),
 		ecn: float64(ecnBytes),
 	})
-	n.view = append(n.view, view{})
+	n.view = append(n.view, 0)
 	n.demand = append(n.demand, 0)
 	return ResourceID(len(n.res) - 1)
 }
@@ -374,6 +387,7 @@ func (n *Network) Grow(k int) {
 		panic(fmt.Sprintf("fluid: %d flows plus %d exceed MaxFlows %d", len(n.flows), k, MaxFlows))
 	}
 	n.flows = slices.Grow(n.flows, k)
+	n.cold = slices.Grow(n.cold, k)
 }
 
 // AddFlow adds one background flow over the given resource path and
@@ -400,6 +414,7 @@ func (n *Network) AddFlow(path ...ResourceID) int {
 		n.demand[r] += u
 	}
 	n.flows = append(n.flows, f)
+	n.cold = append(n.cold, coldFlow{})
 	return len(n.flows) - 1
 }
 
@@ -485,7 +500,7 @@ func (n *Network) Tick(_ sim.Time) {
 		if r.seam != nil {
 			combined += float64(r.seam.PacketQueueBytes())
 		}
-		var bits uint8
+		var bits view
 		if combined > r.ecn {
 			bits |= vMarked
 		}
@@ -498,7 +513,7 @@ func (n *Network) Tick(_ sim.Time) {
 		if !(combined < demoteQ*r.ecn) || r.faulted {
 			bits |= vNotCalm
 		}
-		views[i] = view{frac: uint32(served * (1 << fracBits)), bits: bits}
+		views[i] = view(uint32(served*(1<<fracBits)))<<viewShift | bits
 		if r.seam != nil {
 			r.seam.SetBackground(sim.Rate(d), int(r.q))
 		}
@@ -578,38 +593,41 @@ func (n *Network) preparePass(workers, chunks int) {
 // maxHops views changes neither the OR of the bits nor the minimum
 // served fraction. A flow's served rate is its rate before the window's
 // response; its demand changes by the difference the response made, or
-// loses the flow's units if it promotes.
+// loses the flow's units if it promotes. The cold record is read only
+// where the flow's window ends or its hysteresis runs.
 func (n *Network) passChunk(slot, c int) {
 	p := &n.parts[slot]
 	lo := c * n.chunk
-	flows := n.flows[lo:min(lo+n.chunk, len(n.flows))]
+	hi := min(lo+n.chunk, len(n.flows))
+	flows, cold := n.flows[lo:hi], n.cold[lo:hi]
 	views, demand, scale := n.view, p.demand, n.scale
 	var served int64
 	for j := range flows {
 		f := &flows[j]
-		v0, v1, v2, v3 := &views[f.path[0]], &views[f.path[1]], &views[f.path[2]], &views[f.path[3]]
-		bits := v0.bits | v1.bits | v2.bits | v3.bits
+		v0, v1, v2, v3 := views[f.path[0]], views[f.path[1]], views[f.path[2]], views[f.path[3]]
+		bits := (v0 | v1 | v2 | v3) & viewBits
 		if f.state&stPromoted != 0 {
-			if n.calmToDemote(f, bits) {
+			if n.calmToDemote(&cold[j], bits) {
 				n.events[c] = append(n.events[c], int32(lo+j)<<1|evDemote)
 			}
 			continue
 		}
 		u := units(f.rate, scale)
-		served += (u * int64(min(v0.frac, v1.frac, v2.frac, v3.frac))) >> fracBits
+		served += (u * int64(min(v0, v1, v2, v3)>>viewShift)) >> fracBits
 		f.markedTicks += uint16(bits & vMarked)   // bit 0
 		f.lossTicks += uint16(bits & vLossy >> 1) // bit 1
 		f.winLeft--
 		var du int64 // change to each hop's demand
 		if f.winLeft == 0 {
+			k := &cold[j]
 			mf := float64(f.markedTicks) / float64(n.windowTicks)
 			lf := float64(f.lossTicks) / float64(n.windowTicks)
-			f.rate, f.alpha = n.cc.Advance(f.rate, f.alpha, mf, lf)
+			f.rate, k.alpha = n.cc.Advance(f.rate, k.alpha, mf, lf)
 			f.rate = n.boundRate(f.rate)
 			f.winLeft, f.markedTicks, f.lossTicks = n.windowTicks, 0, 0
 			du = units(f.rate, scale) - u
 		}
-		if f.state&stPromotable != 0 && n.hotToPromote(f, bits) {
+		if f.state&stPromotable != 0 && n.hotToPromote(f, &cold[j], bits) {
 			n.events[c] = append(n.events[c], int32(lo+j)<<1)
 			du = -u
 		}
@@ -626,45 +644,45 @@ func (n *Network) passChunk(slot, c int) {
 // hotToPromote ticks a demoted promotable flow's hysteresis counters
 // and reports whether the flow promotes to packet level; its hook runs
 // after the pass.
-func (n *Network) hotToPromote(f *flow, bits uint8) bool {
+func (n *Network) hotToPromote(f *flow, k *coldFlow, bits view) bool {
 	if bits&vHot != 0 {
-		f.congTicks++
-		f.calmTicks = 0
+		k.congTicks++
+		k.calmTicks = 0
 	} else {
-		f.congTicks = 0
+		k.congTicks = 0
 		if bits&vNotCalm == 0 {
-			f.calmTicks++
+			k.calmTicks++
 		} else {
-			f.calmTicks = 0
+			k.calmTicks = 0
 		}
 	}
-	if int(f.congTicks) < n.cfg.PromoteTicks || n.promote == nil {
+	if int(k.congTicks) < n.cfg.PromoteTicks || n.promote == nil {
 		return false
 	}
 	f.state |= stPromoted
-	f.congTicks, f.calmTicks = 0, 0
+	k.congTicks, k.calmTicks = 0, 0
 	return true
 }
 
 // calmToDemote ticks a promoted flow's calm counter and reports whether
 // the flow demotes back to fluid; demoteFlow completes it after the pass.
-func (n *Network) calmToDemote(f *flow, bits uint8) bool {
+func (n *Network) calmToDemote(k *coldFlow, bits view) bool {
 	if bits&vNotCalm == 0 {
-		f.calmTicks++
+		k.calmTicks++
 	} else {
-		f.calmTicks = 0
+		k.calmTicks = 0
 	}
-	return int(f.calmTicks) >= n.cfg.DemoteTicks && n.demote != nil
+	return int(k.calmTicks) >= n.cfg.DemoteTicks && n.demote != nil
 }
 
 // demoteFlow takes flow i back from the packet tier at the rate the
 // demote hook reports, which joins the next tick's demand.
 func (n *Network) demoteFlow(i int) {
-	f := &n.flows[i]
+	f, k := &n.flows[i], &n.cold[i]
 	f.rate = n.boundRate(float64(n.demote(i)))
-	f.alpha = 0
+	k.alpha = 0
 	f.state &^= stPromoted
-	f.calmTicks, f.congTicks = 0, 0
+	k.calmTicks, k.congTicks = 0, 0
 	f.winLeft, f.markedTicks, f.lossTicks = n.windowTicks, 0, 0
 	n.demotions++
 	u := units(f.rate, n.scale)

@@ -229,15 +229,15 @@ func TestFluidSeamConservation(t *testing.T) {
 	// staying below the promote (hot) threshold at half the buffer.
 	seam.pktQ = 100 * 1024
 	net.Tick(0)
-	if net.view[r].bits&vMarked == 0 {
+	if net.view[r]&vMarked == 0 {
 		t.Fatal("packet queue above the threshold did not mark the resource")
 	}
-	if net.view[r].bits&vHot != 0 {
+	if net.view[r]&vHot != 0 {
 		t.Fatal("ordinary marking depth must not count as hot (promote trigger)")
 	}
 	seam.pktQ = 600 * 1024 // past half the 1 MB buffer
 	net.Tick(0)
-	if net.view[r].bits&vHot == 0 {
+	if net.view[r]&vHot == 0 {
 		t.Fatal("deep packet queue did not make the resource hot")
 	}
 }

@@ -3,7 +3,6 @@ package fluid
 import (
 	"bytes"
 	"cmp"
-	"encoding/binary"
 	"math"
 	"slices"
 	"testing"
@@ -271,13 +270,24 @@ func (n *refNetwork) tick() {
 	n.delivered += float64(float64(served) * n.unit * dt)
 }
 
-// snapshot encodes the reference in the fluid tier's version-2 layout
+// refHashWord is the snapshot word step, written out here so that the
+// reference hashes flows without the production code: h ^= w, times the
+// odd constant ⌊2^64/φ⌋, then h ^= h>>32.
+func refHashWord(h, w uint64) uint64 {
+	h ^= w
+	h *= 0x9e3779b97f4a7c15
+	h ^= h >> 32
+	return h
+}
+
+// snapshot encodes the reference in the fluid tier's version-3 layout
 // (Network.Snapshot) by itself, so the two integrators compare byte for
 // byte: the counters, every resource's queue and fault bit, the flow
-// count, then per chunk of 4,096 flows the FNV-1a hash
-// (snapshot.HashBytes) of the chunk's 27-byte flow records.
+// count, then per chunk of 4,096 flows a hash that starts at zero and
+// takes four words per flow: the state and the window counters, the
+// hysteresis counters, and the bits of rate and of α.
 func (n *refNetwork) snapshot(enc *snapshot.Encoder) {
-	enc.U32(2)
+	enc.U32(3)
 	enc.U64(n.ticks)
 	enc.U64(n.promotions)
 	enc.U64(n.demotions)
@@ -289,18 +299,19 @@ func (n *refNetwork) snapshot(enc *snapshot.Encoder) {
 	}
 	enc.Int(len(n.flows))
 	const chunk = 4096
-	var rec []byte
 	for lo := 0; lo < len(n.flows); lo += chunk {
-		rec = rec[:0]
+		h := uint64(0)
 		for _, f := range n.flows[lo:min(lo+chunk, len(n.flows))] {
-			rec = append(rec, f.state)
-			for _, c := range [...]uint16{f.winLeft, f.markedTicks, f.lossTicks, f.congTicks, f.calmTicks} {
-				rec = binary.LittleEndian.AppendUint16(rec, c)
+			for _, w := range [...]uint64{
+				uint64(f.state) | uint64(f.winLeft)<<8 | uint64(f.markedTicks)<<24 | uint64(f.lossTicks)<<40,
+				uint64(f.congTicks) | uint64(f.calmTicks)<<16,
+				math.Float64bits(f.rate),
+				math.Float64bits(f.alpha),
+			} {
+				h = refHashWord(h, w)
 			}
-			rec = binary.LittleEndian.AppendUint64(rec, math.Float64bits(f.rate))
-			rec = binary.LittleEndian.AppendUint64(rec, math.Float64bits(f.alpha))
 		}
-		enc.U64(snapshot.HashBytes(rec))
+		enc.U64(h)
 	}
 }
 
@@ -595,7 +606,7 @@ func TestFluidTickMatchesReference(t *testing.T) {
 				for i := range p.net.flows {
 					f := &p.net.flows[i]
 					if p.net.res[rs[1]].faulted && f.state == stPromotable && f.winLeft == 1 &&
-						int(f.congTicks) == p.net.cfg.PromoteTicks-1 {
+						int(p.net.cold[i].congTicks) == p.net.cfg.PromoteTicks-1 {
 						windowEndPromotions++
 					}
 				}
@@ -659,7 +670,7 @@ func TestFluidTickMatchesReference(t *testing.T) {
 				p.net.Tick(0)
 				p.ref.tick()
 				for _, v := range p.net.view {
-					seen |= v.bits
+					seen |= uint8(v & viewBits)
 				}
 
 				got, want = snapshot.Encoder{}, snapshot.Encoder{}

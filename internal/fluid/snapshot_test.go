@@ -10,11 +10,11 @@ import (
 )
 
 // TestFluidSnapshotSensitivity: flipping the lowest or the highest bit
-// of any encoded field of one flow, in the first chunk, a middle chunk
-// and the partial last chunk, moves the network's registry digest, and
-// flipping it back restores the digest; so do a flipped bit of a
-// resource's queue and a toggled fault. The chunk digests run on one
-// and on two participants.
+// of any encoded field of one flow's hot or cold record, in the first
+// chunk, a middle chunk and the partial last chunk, moves the network's
+// registry digest, and flipping it back restores the digest; so do a
+// flipped bit of a resource's queue and a toggled fault. The chunk
+// digests run on one and on two participants.
 func TestFluidSnapshotSensitivity(t *testing.T) {
 	net := New(testConfig())
 	rs := []ResourceID{net.AddResource(sim.Gbps(10), 1<<20, 80*1024), net.AddResource(sim.Gbps(25), 1<<20, 80*1024)}
@@ -31,16 +31,16 @@ func TestFluidSnapshotSensitivity(t *testing.T) {
 	fields := []struct {
 		name string
 		bits int
-		flip func(f *flow, bit int)
+		flip func(f *flow, k *coldFlow, bit int)
 	}{
-		{"state", 8, func(f *flow, bit int) { f.state ^= 1 << bit }},
-		{"winLeft", 16, func(f *flow, bit int) { f.winLeft ^= 1 << bit }},
-		{"markedTicks", 16, func(f *flow, bit int) { f.markedTicks ^= 1 << bit }},
-		{"lossTicks", 16, func(f *flow, bit int) { f.lossTicks ^= 1 << bit }},
-		{"congTicks", 16, func(f *flow, bit int) { f.congTicks ^= 1 << bit }},
-		{"calmTicks", 16, func(f *flow, bit int) { f.calmTicks ^= 1 << bit }},
-		{"rate", 64, func(f *flow, bit int) { flipF64(&f.rate, bit) }},
-		{"alpha", 64, func(f *flow, bit int) { flipF64(&f.alpha, bit) }},
+		{"state", 8, func(f *flow, _ *coldFlow, bit int) { f.state ^= 1 << bit }},
+		{"winLeft", 16, func(f *flow, _ *coldFlow, bit int) { f.winLeft ^= 1 << bit }},
+		{"markedTicks", 16, func(f *flow, _ *coldFlow, bit int) { f.markedTicks ^= 1 << bit }},
+		{"lossTicks", 16, func(f *flow, _ *coldFlow, bit int) { f.lossTicks ^= 1 << bit }},
+		{"rate", 64, func(f *flow, _ *coldFlow, bit int) { flipF64(&f.rate, bit) }},
+		{"congTicks", 16, func(_ *flow, k *coldFlow, bit int) { k.congTicks ^= 1 << bit }},
+		{"calmTicks", 16, func(_ *flow, k *coldFlow, bit int) { k.calmTicks ^= 1 << bit }},
+		{"alpha", 64, func(_ *flow, k *coldFlow, bit int) { flipF64(&k.alpha, bit) }},
 	}
 	for _, workers := range []int{1, 2} {
 		net.workers = workers
@@ -60,10 +60,10 @@ func TestFluidSnapshotSensitivity(t *testing.T) {
 			}
 		}
 		for _, i := range []int{0, chunkFlows + chunkFlows/2, flows - 1} {
-			f := &net.flows[i]
+			f, k := &net.flows[i], &net.cold[i]
 			for _, fd := range fields {
 				for _, bit := range []int{0, fd.bits - 1} {
-					flip := func() { fd.flip(f, bit) }
+					flip := func() { fd.flip(f, k, bit) }
 					check(fmt.Sprintf("flow %d %s bit %d", i, fd.name, bit), flip, flip)
 				}
 			}

@@ -75,6 +75,21 @@ func fnv1a(h uint64, b []byte) uint64 {
 // HashBytes is the digest function: FNV-1a 64.
 func HashBytes(b []byte) uint64 { return fnv1a(fnvOffset64, b) }
 
+// wordMul is HashWord's multiplier, ⌊2^64/φ⌋, which is odd.
+const wordMul = 0x9e3779b97f4a7c15
+
+// HashWord folds the 64-bit word w into the hash state h: h ^= w, then
+// h *= wordMul, then h ^= h >> 32. For a given w each step is a
+// bijection of h (an odd multiplier is invertible mod 2^64, and the
+// shift leaves the high half to undo the xor), and for a given h the
+// first is a bijection of w. So two word sequences that differ in one
+// word always hash apart: the states agree up to that word, differ
+// after it, and every later step keeps them apart.
+func HashWord(h, w uint64) uint64 {
+	h = (h ^ w) * wordMul
+	return h ^ h>>32
+}
+
 // Digests hashes every component's current encoding, in registration
 // order, into a new slice the caller keeps. Each encoding is hashed as a
 // stream through one fixed buffer (Encoder's digest mode) that the

@@ -200,3 +200,30 @@ func TestFirstDivergence(t *testing.T) {
 		t.Error("identical timelines must not diverge")
 	}
 }
+
+// TestHashWordInverts: HashWord's last two steps are undone (the
+// xor-shift by xoring the high half back in, the multiply by wordMul's
+// inverse mod 2^64) to recover h ^ w, from which w gives back h and h
+// gives back w. So for a given w it is a bijection of h, and for a given
+// h one of w: one differing word always moves a hash.
+func TestHashWordInverts(t *testing.T) {
+	inv := uint64(wordMul) // Newton's iteration doubles the correct low bits
+	for i := 0; i < 6; i++ {
+		inv *= 2 - wordMul*inv
+	}
+	if inv*wordMul != 1 {
+		t.Fatalf("wordMul %#x has no inverse mod 2^64", uint64(wordMul))
+	}
+	pairs := [][2]uint64{{0, 0}, {0, ^uint64(0)}, {^uint64(0), 0}, {1, 1 << 63}}
+	for x := uint64(1); len(pairs) < 10_000; {
+		x = x*6364136223846793005 + 1442695040888963407
+		pairs = append(pairs, [2]uint64{x, x>>17 ^ x<<29})
+	}
+	for _, p := range pairs {
+		h, w := p[0], p[1]
+		out := HashWord(h, w)
+		if hw := (out ^ out>>32) * inv; hw != h^w {
+			t.Fatalf("HashWord(%#x, %#x) = %#x inverts to h^w = %#x, want %#x", h, w, out, hw, h^w)
+		}
+	}
+}

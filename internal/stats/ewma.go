@@ -37,7 +37,7 @@ func (e *EWMA) Update(sample float64) {
 		e.started = true
 		return
 	}
-	e.v = (1-e.w)*e.v + e.w*sample
+	e.v = float64((1-e.w)*e.v) + float64(e.w*sample)
 }
 
 // Value returns the current average (zero before any update).
@@ -53,7 +53,7 @@ func JainIndex(xs []float64) float64 {
 	var sum, sq float64
 	for _, x := range xs {
 		sum += x
-		sq += x * x
+		sq += float64(x * x)
 	}
 	if sq == 0 {
 		return 0

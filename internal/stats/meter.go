@@ -91,7 +91,7 @@ func (tw *TimeWeighted) Set(t sim.Time, v float64) {
 	if t < tw.last {
 		panic("stats: TimeWeighted time went backwards")
 	}
-	tw.integral += tw.val * float64(t-tw.last)
+	tw.integral += float64(tw.val * float64(t-tw.last))
 	tw.last = t
 	tw.val = v
 }
@@ -105,5 +105,5 @@ func (tw *TimeWeighted) Integral(t sim.Time) float64 {
 	if t < tw.last {
 		panic("stats: TimeWeighted time went backwards")
 	}
-	return tw.integral + tw.val*float64(t-tw.last)
+	return tw.integral + float64(tw.val*float64(t-tw.last))
 }

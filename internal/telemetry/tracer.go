@@ -73,14 +73,18 @@ type KV struct {
 	Val float64
 }
 
-// spanKey identifies an open span. Packet spans key on (hop, flow, seq):
-// within one hop a packet's begin and end bracket a live packet, and two
-// live packets of one flow never share a Seq. Range spans reuse Seq as an
-// opaque id with the zero FlowID.
+// spanKey identifies an open span. Packet spans key on (hop, packet):
+// within one hop a packet's begin and end bracket a live packet, and
+// every live copy is its own Packet, so a retransmitted copy that
+// reaches a hop while its original is still there opens a span of its
+// own. Every hop closes a packet's span before the packet is recycled,
+// so a pointer names one packet while its span is open; the span takes
+// its Flow and Seq from the packet when it closes. Range spans key on an
+// opaque id with a nil packet.
 type spanKey struct {
-	hop  Hop
-	flow packet.FlowID
-	seq  uint64
+	hop Hop
+	pkt *packet.Packet
+	id  uint64
 }
 
 // DefaultMaxSpans bounds tracer memory; beyond it new spans are counted
@@ -125,7 +129,7 @@ func (t *Tracer) PacketSpanBegin(hop Hop, p *packet.Packet, at sim.Time) {
 	if t == nil {
 		return
 	}
-	t.open[spanKey{hop, p.Flow, p.Seq}] = at
+	t.open[spanKey{hop: hop, pkt: p}] = at
 }
 
 // PacketSpanEnd closes hop residence for p. An End without a matching
@@ -134,7 +138,7 @@ func (t *Tracer) PacketSpanEnd(hop Hop, p *packet.Packet, at sim.Time, cause str
 	if t == nil {
 		return
 	}
-	t.closeSpan(spanKey{hop, p.Flow, p.Seq}, at, cause, true)
+	t.closeSpan(spanKey{hop: hop, pkt: p}, at, cause)
 }
 
 // RangeBegin opens a non-packet span (an MBA write, a signal sample)
@@ -143,7 +147,7 @@ func (t *Tracer) RangeBegin(hop Hop, id uint64, at sim.Time) {
 	if t == nil {
 		return
 	}
-	t.open[spanKey{hop: hop, seq: id}] = at
+	t.open[spanKey{hop: hop, id: id}] = at
 }
 
 // RangeEnd closes a non-packet span.
@@ -151,10 +155,10 @@ func (t *Tracer) RangeEnd(hop Hop, id uint64, at sim.Time, cause string) {
 	if t == nil {
 		return
 	}
-	t.closeSpan(spanKey{hop: hop, seq: id}, at, cause, false)
+	t.closeSpan(spanKey{hop: hop, id: id}, at, cause)
 }
 
-func (t *Tracer) closeSpan(k spanKey, at sim.Time, cause string, pkt bool) {
+func (t *Tracer) closeSpan(k spanKey, at sim.Time, cause string) {
 	begin, ok := t.open[k]
 	if !ok {
 		return
@@ -164,10 +168,11 @@ func (t *Tracer) closeSpan(k spanKey, at sim.Time, cause string, pkt bool) {
 		t.Dropped++
 		return
 	}
-	t.spans = append(t.spans, Span{
-		Hop: k.hop, Flow: k.flow, Seq: k.seq,
-		Begin: begin, End: at, Cause: cause, Pkt: pkt,
-	})
+	s := Span{Hop: k.hop, Seq: k.id, Begin: begin, End: at, Cause: cause}
+	if k.pkt != nil {
+		s.Flow, s.Seq, s.Pkt = k.pkt.Flow, k.pkt.Seq, true
+	}
+	t.spans = append(t.spans, s)
 }
 
 // Instant records a point event. Callers must guard with their own nil

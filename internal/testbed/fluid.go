@@ -186,4 +186,20 @@ func (tb *Testbed) buildFluid() {
 	}
 	tb.FluidNet = net
 	tb.FluidClock = clock
+
+	// Instruments, registered after every other so that the registry's
+	// order is the same with and without a fluid tier up to here. They
+	// read the network's getters; the tick path pays nothing for them.
+	tb.Reg.Gauge("fluid/flows", "flows", "fluid background flows",
+		func() float64 { return float64(net.Flows()) })
+	tb.Reg.Counter("fluid/ticks", "ticks", "fluid integration steps run",
+		func() float64 { return float64(net.Ticks()) })
+	tb.Reg.Counter("fluid/promotions", "flows", "fluid flows promoted to packet level",
+		func() float64 { return float64(net.Promotions()) })
+	tb.Reg.Counter("fluid/demotions", "flows", "promoted flows demoted back to fluid",
+		func() float64 { return float64(net.Demotions()) })
+	tb.Reg.Gauge("fluid/promoted", "flows", "flows at packet level now (promotions - demotions)",
+		func() float64 { return float64(net.Promotions() - net.Demotions()) })
+	tb.Reg.Counter("fluid/delivered-bytes", "bytes", "aggregate fluid goodput integrated so far",
+		net.DeliveredBytes)
 }

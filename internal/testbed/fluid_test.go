@@ -7,6 +7,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/sim"
 	"repro/internal/snapshot"
+	"repro/internal/telemetry"
 )
 
 // Fluid-vs-packet validation tolerance, checked in with the tests that
@@ -118,6 +119,19 @@ type fluidChaosResult struct {
 // demote after it clears.
 func fluidChaosRun(t *testing.T) (fluidChaosResult, snapshot.Recording, error) {
 	t.Helper()
+	tb := New(fluidChaosConfig(t))
+	defer tb.Close()
+	tb.StartNetAppT()
+	rec := tb.Record(500 * sim.Microsecond)
+	tb.RunWindow()
+	recording := rec.Stop()
+	return fluidChaosResult{tb.FluidNet.Promotions(), tb.FluidNet.Demotions(), recording.Timeline.Len()}, recording, nil
+}
+
+// fluidChaosConfig is fluidChaosRun's testbed: a dumbbell with 8 fluid
+// flows, 2 of them promotable, and a trunk flap from 3 ms for 600 µs.
+func fluidChaosConfig(t *testing.T) Config {
+	t.Helper()
 	plan, err := faults.Builtin("trunk-flap", 3*sim.Millisecond, 600*sim.Microsecond)
 	if err != nil {
 		t.Fatal(err)
@@ -136,14 +150,57 @@ func fluidChaosRun(t *testing.T) (fluidChaosResult, snapshot.Recording, error) {
 	if err := opts.Validate(); err != nil {
 		t.Fatal(err)
 	}
+	return opts
+}
 
+// TestFluidInstruments: a fluid testbed registers the tier's instruments
+// after every other one, and each reads what its getter reports, at
+// every 250 µs of a run whose fault window promotes flows and whose
+// recovery demotes them; fluid/flows is the configured flow count.
+func TestFluidInstruments(t *testing.T) {
+	opts := fluidChaosConfig(t)
 	tb := New(opts)
 	defer tb.Close()
+	net := tb.FluidNet
+	getters := []struct {
+		name string
+		get  func() float64
+	}{
+		{"fluid/flows", func() float64 { return float64(net.Flows()) }},
+		{"fluid/ticks", func() float64 { return float64(net.Ticks()) }},
+		{"fluid/promotions", func() float64 { return float64(net.Promotions()) }},
+		{"fluid/demotions", func() float64 { return float64(net.Demotions()) }},
+		{"fluid/promoted", func() float64 { return float64(net.Promotions() - net.Demotions()) }},
+		{"fluid/delivered-bytes", net.DeliveredBytes},
+	}
+	var order []string
+	tb.Reg.Each(func(i *telemetry.Instrument) { order = append(order, i.Name) })
+	tail := order[max(len(order)-len(getters), 0):]
+	for k, g := range getters {
+		if tail[k] != g.name {
+			t.Fatalf("instruments end %v, want the fluid tier's %d in getter order", tail, len(getters))
+		}
+	}
+	if got, _ := tb.Reg.Get("fluid/flows"); int(got.Value()) != opts.FluidBackground.Flows {
+		t.Fatalf("fluid/flows %v, want FluidBackground.Flows %d", got.Value(), opts.FluidBackground.Flows)
+	}
 	tb.StartNetAppT()
-	rec := tb.Record(500 * sim.Microsecond)
-	tb.RunWindow()
-	recording := rec.Stop()
-	return fluidChaosResult{tb.FluidNet.Promotions(), tb.FluidNet.Demotions(), recording.Timeline.Len()}, recording, nil
+	var maxPromoted float64
+	for end := opts.Warmup + opts.Measure; tb.Now() < end; {
+		tb.RunFor(250 * sim.Microsecond)
+		for _, g := range getters {
+			inst, _ := tb.Reg.Get(g.name)
+			if got, want := inst.Value(), g.get(); got != want {
+				t.Fatalf("at %v: %s reads %v, its getter %v", tb.Now(), g.name, got, want)
+			}
+		}
+		p, _ := tb.Reg.Get("fluid/promoted")
+		maxPromoted = max(maxPromoted, p.Value())
+	}
+	if maxPromoted == 0 || net.Demotions() == 0 || net.DeliveredBytes() == 0 {
+		t.Fatalf("at most %v flows promoted at once, %d demotions, %v bytes delivered: want all three",
+			maxPromoted, net.Demotions(), net.DeliveredBytes())
+	}
 }
 
 // TestFluidPromoteDemoteDeterminism: a trunk-flap window promotes the

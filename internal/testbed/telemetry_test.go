@@ -1,7 +1,6 @@
 package testbed
 
 import (
-	"fmt"
 	"testing"
 
 	"repro/internal/packet"
@@ -12,17 +11,30 @@ import (
 // TestTracerCoversReceiveHook: the tracer is the run's only per-packet
 // record, so it must hold a cpu-rx span for every packet a receive hook
 // sees after hostCC's, and a nic-queue span for every DMA the NIC starts,
-// with and without host congestion.
+// with and without host congestion, and with retransmitted copies in
+// the datapath beside their originals.
 func TestTracerCoversReceiveHook(t *testing.T) {
-	for _, degree := range []float64{0, 3} {
-		t.Run(fmt.Sprintf("degree-%g", degree), func(t *testing.T) {
+	rows := []struct {
+		name    string
+		hostCC  bool
+		degree  float64
+		minRTO  sim.Time
+		measure sim.Time
+		retx    bool // the row must retransmit
+	}{
+		{"degree-0", true, 0, 5 * sim.Millisecond, 4 * sim.Millisecond, false},
+		{"degree-3", true, 3, 5 * sim.Millisecond, 4 * sim.Millisecond, false},
+		{"retransmits", false, 3, sim.Millisecond, 8 * sim.Millisecond, true},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
 			opts := DefaultConfig()
 			opts.Telemetry = true
-			opts.HostCC = true
-			opts.Degree = degree
+			opts.HostCC = row.hostCC
+			opts.Degree = row.degree
 			opts.Warmup = 2 * sim.Millisecond
-			opts.Measure = 4 * sim.Millisecond
-			opts.MinRTO = 5 * sim.Millisecond
+			opts.Measure = row.measure
+			opts.MinRTO = row.minRTO
 			tb := New(opts)
 			defer tb.Close()
 			var hooked int64
@@ -30,12 +42,16 @@ func TestTracerCoversReceiveHook(t *testing.T) {
 			tb.StartNetAppT()
 			m := tb.RunWindow()
 
-			// Span keys are (hop, flow, seq): a retransmitted segment
-			// would share its original's key, and a capped tracer keeps
-			// only some spans, so either would break the counts below.
+			// Packet spans key on the live packet, so a retransmitted copy
+			// that meets its original in a hop keeps a span of its own. A
+			// capped tracer keeps only some spans, which would break the
+			// counts below.
 			tl := tb.Tr.Timeline()
-			if m.NetRetx != 0 || tl.Dropped != 0 {
-				t.Fatalf("retransmits %d, spans dropped %d: counts not comparable", m.NetRetx, tl.Dropped)
+			if tl.Dropped != 0 {
+				t.Fatalf("%d spans dropped: counts not comparable", tl.Dropped)
+			}
+			if row.retx && m.NetRetx == 0 {
+				t.Fatal("no retransmits: the row does not exercise retransmitted copies")
 			}
 			spans := map[telemetry.Hop]int64{}
 			for _, s := range tl.Spans {
