@@ -78,12 +78,13 @@ test:
 
 verify: build vet staticcheck test api-compat
 
-# vet also gates formatting: gofmt must have nothing to change in the
-# root module or the examples module (not bench/, its own module, nor the
-# hidden build directories).
+# vet covers the root module and the bench module (its own module, which
+# the root ./... does not reach), and also gates formatting: gofmt must
+# have nothing to change in any module (not the hidden build directories).
 vet:
 	$(GO) vet ./...
-	@unformatted=$$(gofmt -l $$(find . -name '*.go' -not -path './bench/*' -not -path './.*')); \
+	cd bench && $(GO) vet ./...
+	@unformatted=$$(gofmt -l $$(find . -name '*.go' -not -path './.*')); \
 	if [ -n "$$unformatted" ]; then echo "gofmt -l lists files to format:"; echo "$$unformatted"; exit 1; fi
 
 # staticcheck is optional tooling: run it when installed, skip with a

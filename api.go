@@ -50,7 +50,7 @@ var (
 )
 
 // CCDelay returns a Swift-like delay-based congestion control targeting
-// the given RTT (the §6 extension; pair with the delay signal).
+// the given RTT (the §6 extension).
 func CCDelay(target time.Duration) CC {
 	return CC{factory: transport.NewDelayCC(sim.Time(target.Nanoseconds())), name: "delay"}
 }

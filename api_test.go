@@ -102,6 +102,7 @@ func TestBadInputsReturnErrors(t *testing.T) {
 		{"chaos with a negative digest period", chaosErr(ChaosConfig{Scenario: "link-flap", DigestEvery: -1})},
 		{"chaos with a sentinel window below the floor", chaosErr(ChaosConfig{Scenario: "link-flap", SentinelWindow: testbed.MinPeriod - 1})},
 		{"chaos with a negative sentinel window", chaosErr(ChaosConfig{Scenario: "link-flap", SentinelWindow: -1})},
+		{"chaos with a negative recovery budget", chaosErr(ChaosConfig{Scenario: "link-flap", RecoveryRTTBudget: -5})},
 		{"scale-out with a digest period below the floor", scaleOutErr(ScaleOutConfig{DigestEvery: testbed.MinPeriod - 1})},
 		{"scale-out with a negative digest period", scaleOutErr(ScaleOutConfig{DigestEvery: -1})},
 		{"lossless with negative RPC size", losslessErr(LosslessStudyConfig{RPCSize: -1})},

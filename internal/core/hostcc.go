@@ -79,39 +79,21 @@ type Config struct {
 	IT float64
 	// BT is the target network bandwidth (default 80 Gbps).
 	BT sim.Rate
-	// PCIeOverhead converts B_T into its on-PCIe equivalent: with 4K MTU
-	// and default TLPs the measured B_S carries ~5% overhead (§5.4
-	// compares B_S against 84 Gbps for B_T = 80 Gbps).
-	PCIeOverhead float64
-	// WeightIS and WeightBS are the signal EWMA weights (1/8 and 1/256;
-	// §4.1 discusses the aggressiveness/delay trade-off).
+	// WeightIS is the occupancy signal's EWMA weight (default 1/8; §4.1
+	// discusses the aggressiveness/delay trade-off).
 	WeightIS float64
-	WeightBS float64
 	// SampleInterval is the signal sampling period. Two MSR reads cost
 	// ~1.2 µs, so the default is 2 µs — still far below the ~44 µs RTT.
 	SampleInterval sim.Time
 	// Mode selects active responses.
 	Mode Mode
-	// Policy selects the host resource allocation policy; nil uses the
-	// paper's TargetBandwidthPolicy built from IT and BT (§3.2 leaves
-	// the policy pluggable).
-	Policy Policy
-	// UseDelaySignal switches congestion detection from the occupancy
-	// threshold to the host-delay signal computed via Little's law
-	// (ℓp + ℓm ≈ I_S × cacheline / B_S), the §3.1/§6 extension that
-	// lets hostCC pair with delay-based protocols.
-	UseDelaySignal bool
-	// DT is the host-delay threshold when UseDelaySignal is set.
-	DT sim.Time
 	// Watchdog, when non-nil, arms the signal/actuation failsafe (see
 	// watchdog.go). The zero WatchdogConfig selects all defaults.
 	Watchdog *WatchdogConfig
 }
 
-// Validate reports the first invalid parameter of the configuration. New
-// clamps these same parameters (see Sanitize), so an invalid Config is
-// usable but silently differs from what was asked — callers that care
-// should Validate first.
+// Validate reports the first invalid parameter of the configuration; New
+// panics on a Config it rejects.
 func (c Config) Validate() error {
 	if c.SampleInterval <= 0 {
 		return fmt.Errorf("core: SampleInterval %v must be positive (zero would busy-loop the event queue)", c.SampleInterval)
@@ -125,49 +107,17 @@ func (c Config) Validate() error {
 	if !(c.WeightIS > 0 && c.WeightIS <= 1) {
 		return fmt.Errorf("core: WeightIS %v outside (0,1]", c.WeightIS)
 	}
-	if !(c.WeightBS > 0 && c.WeightBS <= 1) {
-		return fmt.Errorf("core: WeightBS %v outside (0,1]", c.WeightBS)
-	}
-	if !(c.PCIeOverhead >= 1) {
-		return fmt.Errorf("core: PCIeOverhead %v below 1", c.PCIeOverhead)
-	}
-	if c.UseDelaySignal && c.DT <= 0 {
-		return fmt.Errorf("core: delay signal requires a positive DT, got %v", c.DT)
-	}
 	return nil
 }
 
-// Sanitize returns a copy with every invalid parameter clamped to its
-// paper default, plus the validation error (nil when nothing needed
-// clamping). A zero or negative SampleInterval would busy-loop the event
-// queue; zero thresholds would pin the controller in one regime — New
-// refuses to construct a module that does either.
-func (c Config) Sanitize() (Config, error) {
-	err := c.Validate()
-	d := DefaultConfig(false)
-	if c.SampleInterval <= 0 {
-		c.SampleInterval = d.SampleInterval
-	}
-	if !(c.IT > 0) {
-		c.IT = d.IT
-	}
-	if !(c.BT > 0) {
-		c.BT = d.BT
-	}
-	if !(c.WeightIS > 0 && c.WeightIS <= 1) {
-		c.WeightIS = d.WeightIS
-	}
-	if !(c.WeightBS > 0 && c.WeightBS <= 1) {
-		c.WeightBS = d.WeightBS
-	}
-	if !(c.PCIeOverhead >= 1) {
-		c.PCIeOverhead = d.PCIeOverhead
-	}
-	if c.UseDelaySignal && c.DT <= 0 {
-		c.UseDelaySignal = false
-	}
-	return c, err
-}
+const (
+	// weightBS is the bandwidth signal's EWMA weight (§4.1).
+	weightBS = 1.0 / 256
+	// pcieOverhead converts B_T into its on-PCIe equivalent: with 4K MTU
+	// and default TLPs the measured B_S carries ~5% overhead (§5.4
+	// compares B_S against 84 Gbps for B_T = 80 Gbps).
+	pcieOverhead = 1.05
+)
 
 // DefaultConfig returns the paper's default parameters.
 func DefaultConfig(ddio bool) Config {
@@ -178,9 +128,7 @@ func DefaultConfig(ddio bool) Config {
 	return Config{
 		IT:             it,
 		BT:             sim.Gbps(80),
-		PCIeOverhead:   1.05,
 		WeightIS:       1.0 / 8,
-		WeightBS:       1.0 / 256,
 		SampleInterval: 2 * sim.Microsecond,
 		Mode:           ModeFull,
 	}
@@ -237,10 +185,8 @@ type HostCC struct {
 	roccAt   sim.Time
 }
 
-// New creates a hostCC module reading signals from f and driving mba.
-// Invalid Config parameters (zero or negative SampleInterval, IT, BT,
-// weights) are clamped to the paper defaults — see Config.Sanitize; use
-// Validate to detect them before construction.
+// New creates a hostCC module reading signals from f and driving mba. It
+// panics on a Config that Validate rejects.
 func New(e *sim.Engine, f *msr.File, mba LevelController, cfg Config) *HostCC {
 	if f == nil {
 		panic("core: nil MSR file")
@@ -248,12 +194,8 @@ func New(e *sim.Engine, f *msr.File, mba LevelController, cfg Config) *HostCC {
 	if cfg.Mode != ModeEchoOnly && cfg.Mode != ModeOff && mba == nil {
 		panic("core: host-local response requires a level controller")
 	}
-	cfg, _ = cfg.Sanitize()
-	if cfg.Policy == nil {
-		cfg.Policy = TargetBandwidthPolicy{
-			IT:      cfg.IT,
-			BTBytes: float64(cfg.BT) * cfg.PCIeOverhead,
-		}
+	if err := cfg.Validate(); err != nil {
+		panic(err)
 	}
 	h := &HostCC{
 		e:           e,
@@ -261,7 +203,7 @@ func New(e *sim.Engine, f *msr.File, mba LevelController, cfg Config) *HostCC {
 		mba:         mba,
 		cfg:         cfg,
 		isEWMA:      stats.NewEWMA(cfg.WeightIS),
-		bsEWMA:      stats.NewEWMA(cfg.WeightBS),
+		bsEWMA:      stats.NewEWMA(weightBS),
 		ReadLatency: stats.NewHistogram(30),
 	}
 	if cfg.Watchdog != nil {
@@ -307,9 +249,6 @@ func (h *HostCC) RegisterInstruments(reg *telemetry.Registry, prefix string) {
 
 // Watchdog returns the failsafe, or nil when not configured.
 func (h *HostCC) Watchdog() *Watchdog { return h.wd }
-
-// Config returns the module configuration.
-func (h *HostCC) Config() Config { return h.cfg }
 
 // Start begins signal sampling and response.
 func (h *HostCC) Start() {
@@ -417,31 +356,13 @@ func (h *HostCC) IS() float64 { return h.isEWMA.Value() }
 // BS returns the filtered PCIe bandwidth signal (bytes/sec).
 func (h *HostCC) BS() sim.Rate { return sim.Rate(h.bsEWMA.Value()) }
 
-// HostDelay estimates the NIC-to-memory delay (ℓp + ℓm) from the two
-// signals via Little's law: average occupancy divided by insertion rate
-// (§3.1). Zero when no bandwidth signal is available yet.
-func (h *HostCC) HostDelay() sim.Time {
-	bs := h.bsEWMA.Value()
-	if bs <= 0 {
-		return 0
-	}
-	// IS lines × 64 bytes each, drained at bs bytes/sec.
-	return sim.Time(h.isEWMA.Value() * 64 / bs * 1e9)
-}
-
 // Congested reports whether the host congestion signal exceeds its
-// threshold (IIO occupancy > I_T, or host delay > D_T with the delay
-// signal enabled).
-func (h *HostCC) Congested() bool {
-	if h.cfg.UseDelaySignal {
-		return h.HostDelay() > h.cfg.DT
-	}
-	return h.IS() > h.cfg.IT
-}
+// threshold (IIO occupancy > I_T).
+func (h *HostCC) Congested() bool { return h.IS() > h.cfg.IT }
 
 // targetBS is B_T expressed in on-PCIe bytes (incl. TLP overhead).
 func (h *HostCC) targetBS() sim.Rate {
-	return sim.Rate(float64(h.cfg.BT) * h.cfg.PCIeOverhead)
+	return sim.Rate(float64(h.cfg.BT) * pcieOverhead)
 }
 
 // BelowTarget reports whether network traffic is under its target
@@ -456,10 +377,10 @@ func (h *HostCC) Level() int {
 	return h.mba.Level()
 }
 
-// respond applies the configured policy (by default the four regimes of
-// Figure 6) to the current signals. While the watchdog is in fallback the
-// policy is bypassed: its inputs are exactly the signals the watchdog
-// distrusts, so the level stays pinned at the conservative fallback.
+// respond applies the four regimes of Figure 6 to the current signals.
+// While the watchdog is in fallback the response is bypassed: its inputs
+// are exactly the signals the watchdog distrusts, so the level stays
+// pinned at the conservative fallback.
 func (h *HostCC) respond() {
 	if h.cfg.Mode == ModeOff || h.cfg.Mode == ModeEchoOnly || h.mba == nil {
 		return
@@ -468,12 +389,7 @@ func (h *HostCC) respond() {
 		return
 	}
 	cur := h.mba.Level()
-	act := h.cfg.Policy.Decide(Signals{
-		IS:        h.IS(),
-		BSBytes:   float64(h.BS()),
-		Level:     cur,
-		NumLevels: h.mba.NumLevels(),
-	})
+	act := decide(h.IS(), h.cfg.IT, float64(h.BS()), float64(h.targetBS()))
 	switch act {
 	case Raise:
 		// Regime 3: reduce host-local traffic's resources (more

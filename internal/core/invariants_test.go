@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/cpu"
 	"repro/internal/sim"
 )
 
@@ -138,62 +137,5 @@ func TestInvariantCheckerPeriodicAudit(t *testing.T) {
 	e.RunUntil(2 * sim.Millisecond)
 	if c.Checks.Total() != before {
 		t.Fatal("checker audited after Stop")
-	}
-}
-
-// The sender guard must keep re-asserting its response while the MBA
-// write path is faulted (the hardware silently eats level writes), and
-// the response must land once the fault clears — the trip/re-arm cycle
-// under the mba-drop chaos scenario, tested against the real cpu.MBA
-// write machinery rather than a fake.
-func TestSenderGuardTripAndRearmUnderWriteFaults(t *testing.T) {
-	e := sim.NewEngine(1)
-	mba := cpu.NewMBA(e, cpu.DefaultMBAConfig())
-
-	var tx int64
-	backlog := 1 << 20 // deep transmit queue: starvation evidence
-	g := NewSenderGuard(e, mba, DefaultSenderGuardConfig(),
-		func() int64 { return tx }, func() int { return backlog })
-	sim.NewTicker(e, sim.Microsecond, func() { tx += 1000 }) // 8 Gbps, far below target
-
-	// Phase 1: every MBA write dropped. The guard trips (requests a
-	// raise) every sample, the hardware eats each one, and the applied
-	// level must not move.
-	dropAll := true
-	mba.SetWriteFault(func() cpu.WriteFault { return cpu.WriteFault{Drop: dropAll} })
-	e.RunUntil(500 * sim.Microsecond)
-	if mba.Level() != 0 {
-		t.Fatalf("dropped writes applied a level: %d", mba.Level())
-	}
-	if g.LevelRaises.Total() == 0 {
-		t.Fatal("starved guard never tripped")
-	}
-	if mba.LostWrites == 0 {
-		t.Fatal("write fault never engaged")
-	}
-	raisesDuringFault := g.LevelRaises.Total()
-
-	// Phase 2: fault clears. The guard's next trip must land and the
-	// response level must finally rise.
-	dropAll = false
-	e.RunUntil(sim.Millisecond)
-	if mba.Level() == 0 {
-		t.Fatal("guard did not re-arm the response after the fault cleared")
-	}
-	if g.LevelRaises.Total() <= raisesDuringFault {
-		t.Fatal("guard stopped retrying after the fault window")
-	}
-
-	// Phase 3: starvation ends (target met, queue drained) — the guard
-	// hands the resources back down to level 0.
-	sim.NewTicker(e, sim.Microsecond, func() { tx += 12_000 }) // +96 Gbps
-	backlog = 0
-	e.RunUntil(3 * sim.Millisecond)
-	g.Stop()
-	if mba.Level() != 0 {
-		t.Fatalf("recovered sender should drop to level 0, got %d", mba.Level())
-	}
-	if g.LevelDrops.Total() == 0 {
-		t.Fatal("guard never recorded a level drop")
 	}
 }

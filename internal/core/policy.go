@@ -1,34 +1,9 @@
 package core
 
-// The hostCC architecture deliberately does not dictate the host resource
-// allocation policy (§3.2): "just like different network resource
-// allocation mechanisms use different network allocation policies, we
-// envision hostCC to embody various host resource allocation policies."
-// This file defines the policy interface and two implementations:
-//
-//   - TargetBandwidthPolicy — the paper's policy: a fixed target network
-//     bandwidth B_T and the four-regime response of Figure 6.
-//   - ElasticPolicy — an adaptive policy that forgoes a fixed target and
-//     instead holds the host just below the congestion threshold,
-//     maximizing host-local throughput subject to zero host queueing.
-
-// Signals is the policy input: the filtered host congestion signals and
-// the current response level.
-type Signals struct {
-	// IS is the filtered IIO occupancy.
-	IS float64
-	// BSBytes is the filtered PCIe bandwidth in bytes/sec.
-	BSBytes float64
-	// Level is the currently applied host-local response level.
-	Level int
-	// NumLevels is the number of available levels.
-	NumLevels int
-}
-
-// Action is a policy decision about the host-local response level.
+// Action is a decision about the host-local response level.
 type Action int
 
-// Policy decisions.
+// Level decisions.
 const (
 	Hold Action = iota
 	Raise
@@ -47,35 +22,15 @@ func (a Action) String() string {
 	return "unknown"
 }
 
-// Policy decides the host-local response from the congestion signals.
-// Implementations must be pure decision logic: mechanism (MBA writes, ECN
-// echo) stays in HostCC.
-type Policy interface {
-	// Name identifies the policy.
-	Name() string
-	// Decide returns the level action for the current signals.
-	Decide(s Signals) Action
-}
-
-// TargetBandwidthPolicy is the paper's policy (Figure 6): given threshold
-// I_T and target bandwidth B_T, raise the level under regime 3 (host
+// decide is the paper's host resource allocation policy (Figure 6). It
+// compares the filtered occupancy is with the threshold it, and the
+// filtered PCIe bandwidth bs with the target bt (bytes/sec, bt already
+// including PCIe overhead): raise the level under regime 3 (host
 // congested, network below target), lower it under regime 1 (host idle,
-// network at target), hold otherwise.
-type TargetBandwidthPolicy struct {
-	// IT is the occupancy threshold.
-	IT float64
-	// BTBytes is the target network bandwidth in bytes/sec, already
-	// adjusted for PCIe overhead.
-	BTBytes float64
-}
-
-// Name implements Policy.
-func (TargetBandwidthPolicy) Name() string { return "target-bandwidth" }
-
-// Decide implements Policy.
-func (p TargetBandwidthPolicy) Decide(s Signals) Action {
-	congested := s.IS > p.IT
-	below := s.BSBytes < p.BTBytes
+// network at target), hold otherwise. Both comparisons are strict.
+func decide(is, it, bs, bt float64) Action {
+	congested := is > it
+	below := bs < bt
 	switch {
 	case congested && below:
 		return Raise // regime 3
@@ -83,35 +38,5 @@ func (p TargetBandwidthPolicy) Decide(s Signals) Action {
 		return Lower // regime 1
 	default:
 		return Hold // regimes 2 and 4
-	}
-}
-
-// ElasticPolicy has no bandwidth target: it treats the occupancy
-// threshold as the only constraint, backpressuring host-local traffic
-// exactly enough to keep the host out of congestion and releasing
-// resources whenever there is headroom. Compared to the paper's policy it
-// gives network traffic whatever it asks for (up to the host's capacity)
-// and host-local traffic everything else.
-type ElasticPolicy struct {
-	// IT is the occupancy threshold to stay below.
-	IT float64
-	// Headroom is the hysteresis band: the level is lowered only when
-	// occupancy falls below IT - Headroom, avoiding oscillation around
-	// the threshold.
-	Headroom float64
-}
-
-// Name implements Policy.
-func (ElasticPolicy) Name() string { return "elastic" }
-
-// Decide implements Policy.
-func (p ElasticPolicy) Decide(s Signals) Action {
-	switch {
-	case s.IS > p.IT:
-		return Raise
-	case s.IS < p.IT-p.Headroom:
-		return Lower
-	default:
-		return Hold
 	}
 }

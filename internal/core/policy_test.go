@@ -7,7 +7,7 @@ import (
 )
 
 func TestTargetBandwidthPolicyRegimes(t *testing.T) {
-	p := TargetBandwidthPolicy{IT: 70, BTBytes: float64(sim.Gbps(84))}
+	it, bt := 70.0, float64(sim.Gbps(84))
 	cases := []struct {
 		name   string
 		is, bs float64
@@ -19,98 +19,10 @@ func TestTargetBandwidthPolicyRegimes(t *testing.T) {
 		{"regime 4: idle host, below target", 40, float64(sim.Gbps(40)), Hold},
 	}
 	for _, c := range cases {
-		got := p.Decide(Signals{IS: c.is, BSBytes: c.bs, Level: 2, NumLevels: 5})
+		got := decide(c.is, it, c.bs, bt)
 		if got != c.want {
 			t.Errorf("%s: got %v, want %v", c.name, got, c.want)
 		}
-	}
-	if p.Name() == "" {
-		t.Error("empty policy name")
-	}
-}
-
-func TestElasticPolicyHysteresis(t *testing.T) {
-	p := ElasticPolicy{IT: 70, Headroom: 10}
-	if got := p.Decide(Signals{IS: 80}); got != Raise {
-		t.Errorf("above threshold: %v", got)
-	}
-	if got := p.Decide(Signals{IS: 65}); got != Hold {
-		t.Errorf("inside hysteresis band: %v", got)
-	}
-	if got := p.Decide(Signals{IS: 50}); got != Lower {
-		t.Errorf("below band: %v", got)
-	}
-}
-
-func TestHostCCWithElasticPolicy(t *testing.T) {
-	cfg := DefaultConfig(false)
-	cfg.Policy = ElasticPolicy{IT: 70, Headroom: 15}
-	e, fc, mba, h := newRig(t, cfg)
-	// Persistent congestion: the elastic policy escalates regardless of
-	// any bandwidth target.
-	fc.setOcc(90)
-	tk := fc.insertAtRate(sim.Gbps(100), sim.Microsecond) // above BT
-	h.Start()
-	e.RunUntil(400 * sim.Microsecond)
-	if mba.Level() != 4 {
-		t.Fatalf("elastic policy level = %d under congestion, want 4", mba.Level())
-	}
-	// Clear congestion: the level decays even though BS stays high.
-	tk.Stop()
-	fc.setOcc(20)
-	fc.insertAtRate(sim.Gbps(100), sim.Microsecond)
-	e.RunUntil(e.Now() + 400*sim.Microsecond)
-	h.Stop()
-	if mba.Level() != 0 {
-		t.Fatalf("elastic policy level = %d after congestion cleared, want 0", mba.Level())
-	}
-}
-
-func TestHostDelayLittlesLaw(t *testing.T) {
-	cfg := DefaultConfig(false)
-	e, fc, _, h := newRig(t, cfg)
-	// Occupancy 65 lines at 103 Gbps: delay = 65*64B / 12.875GB/s = 323ns.
-	fc.setOcc(65)
-	fc.insertAtRate(sim.Gbps(103), sim.Microsecond)
-	h.Start()
-	e.RunUntil(3 * sim.Millisecond) // let the slow BS EWMA converge
-	h.Stop()
-	d := h.HostDelay()
-	if d < 280 || d > 380 {
-		t.Fatalf("host delay = %v, want ~323ns", d)
-	}
-}
-
-func TestDelaySignalCongestionDetection(t *testing.T) {
-	cfg := DefaultConfig(false)
-	cfg.UseDelaySignal = true
-	cfg.DT = 500 * sim.Nanosecond
-	e, fc, _, h := newRig(t, cfg)
-	fc.setOcc(65)
-	fc.insertAtRate(sim.Gbps(103), sim.Microsecond)
-	h.Start()
-	e.RunUntil(3 * sim.Millisecond)
-	if h.Congested() {
-		t.Fatalf("delay %v below DT should not be congested", h.HostDelay())
-	}
-	// Occupancy spikes at the same bandwidth: delay rises above DT.
-	fc.setOcc(200)
-	e.RunUntil(e.Now() + 100*sim.Microsecond)
-	h.Stop()
-	if !h.Congested() {
-		t.Fatalf("delay %v above DT should be congested", h.HostDelay())
-	}
-}
-
-func TestDelaySignalRequiresDT(t *testing.T) {
-	cfg := DefaultConfig(false)
-	cfg.UseDelaySignal = true // DT left zero
-	if err := cfg.Validate(); err == nil {
-		t.Error("delay signal without DT passed Validate")
-	}
-	_, _, _, h := newRig(t, cfg)
-	if h.Config().UseDelaySignal {
-		t.Error("Sanitize left the delay signal enabled with DT = 0")
 	}
 }
 

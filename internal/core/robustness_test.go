@@ -31,7 +31,6 @@ func TestModeString(t *testing.T) {
 // sitting exactly on a threshold counts as "not congested" / "not below
 // target" respectively.
 func TestPolicyExactThresholds(t *testing.T) {
-	p := TargetBandwidthPolicy{IT: 100, BTBytes: 1e9}
 	cases := []struct {
 		name   string
 		is, bs float64
@@ -49,9 +48,9 @@ func TestPolicyExactThresholds(t *testing.T) {
 		{"just over both", 100.0001, 1e9 + 1, Hold},
 	}
 	for _, c := range cases {
-		got := p.Decide(Signals{IS: c.is, BSBytes: c.bs, Level: 2, NumLevels: 8})
+		got := decide(c.is, 100, c.bs, 1e9)
 		if got != c.want {
-			t.Errorf("%s: Decide(IS=%v, BS=%v) = %v, want %v", c.name, c.is, c.bs, got, c.want)
+			t.Errorf("%s: decide(IS=%v, BS=%v) = %v, want %v", c.name, c.is, c.bs, got, c.want)
 		}
 	}
 }

@@ -12,7 +12,7 @@ type WatchdogState int
 
 // Watchdog states.
 const (
-	// WatchdogArmed: signals are healthy; the policy controls the level.
+	// WatchdogArmed: signals are healthy; the response controls the level.
 	WatchdogArmed WatchdogState = iota
 	// WatchdogFallback: the signal path is untrustworthy (failed or
 	// frozen MSR reads); the level is pinned at the conservative

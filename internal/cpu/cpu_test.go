@@ -52,6 +52,30 @@ func TestMBACoalescesRequestsDuringWrite(t *testing.T) {
 	}
 }
 
+// TestMBADroppedWriteRetriesNewerTarget: a dropped write is retried when
+// a newer target arrived while it was in flight, and a dropped write
+// whose target did not change is lost until the next request.
+func TestMBADroppedWriteRetriesNewerTarget(t *testing.T) {
+	e := sim.NewEngine(1)
+	m := NewMBA(e, DefaultMBAConfig())
+	drop := true
+	m.SetWriteFault(func() WriteFault { return WriteFault{Drop: drop} })
+	m.RequestLevel(1)
+	sim.NewTimer(e, func() { m.RequestLevel(2) }).ResetAt(5 * sim.Microsecond)
+	e.RunUntil(100 * sim.Microsecond)
+	// The write of 1 drops at 22us and the retry of 2 drops at 44us;
+	// nothing retries the unchanged target 2.
+	if m.Level() != 0 || m.LostWrites != 2 || m.Writes != 2 {
+		t.Fatalf("level=%d lost=%d writes=%d, want 0, 2, 2", m.Level(), m.LostWrites, m.Writes)
+	}
+	drop = false
+	m.RequestLevel(2)
+	e.Run()
+	if m.Level() != 2 || m.Writes != 3 {
+		t.Fatalf("after the fault cleared: level=%d writes=%d, want 2, 3", m.Level(), m.Writes)
+	}
+}
+
 func TestMBARedundantRequestNoWrite(t *testing.T) {
 	e := sim.NewEngine(1)
 	m := NewMBA(e, DefaultMBAConfig())

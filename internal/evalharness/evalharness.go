@@ -159,7 +159,7 @@ func (c Config) Validate() error {
 	if c.DigestEvery <= 0 {
 		return fmt.Errorf("evalharness: DigestEvery %v must be positive", c.DigestEvery)
 	}
-	if c.ConvergenceTol <= 0 || c.ConvergenceTol >= 1 {
+	if !(c.ConvergenceTol > 0 && c.ConvergenceTol < 1) {
 		return fmt.Errorf("evalharness: ConvergenceTol %v outside (0,1)", c.ConvergenceTol)
 	}
 	if c.RPCSize <= 0 {

@@ -1,6 +1,7 @@
 package evalharness
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -29,6 +30,7 @@ func TestConfigValidateRejects(t *testing.T) {
 		}, "SampleEvery"},
 		{"negative-digest-every", func(c *Config) { c.DigestEvery = -1 }, "DigestEvery"},
 		{"tol-too-big", func(c *Config) { c.ConvergenceTol = 1 }, "ConvergenceTol"},
+		{"tol-nan", func(c *Config) { c.ConvergenceTol = math.NaN() }, "ConvergenceTol"},
 		{"negative-rpc-size", func(c *Config) { c.RPCSize = -1 }, "RPCSize"},
 		{"negative-workers", func(c *Config) { c.Workers = -1 }, "Workers"},
 		{"negative-shards", func(c *Config) { c.Shards = -2 }, "Shards"},

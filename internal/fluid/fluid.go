@@ -438,18 +438,8 @@ func (n *Network) SetPromoteHooks(promote func(i int, rate sim.Rate), demote fun
 	n.demote = demote
 }
 
-// Register adds the network's tick to a coarse clock. The clock's
-// period must match cfg.Tick — the integration step is part of the
-// model, not a sampling choice.
-func (n *Network) Register(c *sim.CoarseClock) {
-	if c.Period() != n.cfg.Tick {
-		panic(fmt.Sprintf("fluid: coarse clock period %v != configured tick %v", c.Period(), n.cfg.Tick))
-	}
-	c.Register("fluid", n.Tick)
-}
-
-// Tick advances the network by one integration step. Exported for
-// direct-drive tests; in a testbed the coarse clock calls it.
+// Tick advances the network by one integration step. A testbed calls it
+// every cfg.Tick; tests drive it directly.
 //
 // One pass over the flows per tick. Demand is kept from the previous
 // tick, so only a flow whose rate or state changes touches it. The pass

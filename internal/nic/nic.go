@@ -35,11 +35,6 @@ type Config struct {
 	RxDescriptors int
 	// LineRate is the Ethernet rate (100 Gbps).
 	LineRate sim.Rate
-	// TxBlockingReads makes the transmit path wait for the host memory
-	// read of each packet before serializing it, exposing sender-side
-	// host congestion to the transmit path (used by sender-side hostCC
-	// experiments). Off by default: reads are posted.
-	TxBlockingReads bool
 	// PFC makes the rx buffer lossless (pause instead of drop) and
 	// enables CNP generation; see PFCConfig. Disabled by default.
 	PFC PFCConfig
@@ -84,10 +79,9 @@ type NIC struct {
 	out     func(*packet.Packet)
 
 	// Handler-table plumbing for the transmit path: txSlots parks the
-	// packet being serialized (or awaiting its blocking DMA read).
-	txDoneH     sim.HandlerID
-	txReadDoneH sim.HandlerID
-	txSlots     sim.Slots[*packet.Packet]
+	// packet being serialized.
+	txDoneH sim.HandlerID
+	txSlots sim.Slots[*packet.Packet]
 
 	// rxFault, when set, is consulted per arriving packet; returning
 	// true drops it before buffer admission (fault injection: PHY-level
@@ -155,7 +149,6 @@ func New(e *sim.Engine, cfg Config, link *pcie.Link, mc *mem.Controller) *NIC {
 		n.pump()
 	}
 	n.txDoneH = e.Handler(n.txDone)
-	n.txReadDoneH = e.Handler(n.txReadDone)
 	n.txWatchdogH = e.Handler(n.txWatchdog)
 	return n
 }
@@ -329,29 +322,11 @@ func (n *NIC) txPump() {
 	p := n.txQ.Pop()
 	n.txBytes -= p.WireLen()
 
-	if n.mc == nil {
-		n.serialize(p)
-		return
+	if n.mc != nil {
+		n.mc.Submit(mem.Request{Size: p.WireLen(), Class: mem.ClassNetCopy}) // posted read
 	}
-	req := mem.Request{Size: p.WireLen(), Class: mem.ClassNetCopy}
-	if n.cfg.TxBlockingReads {
-		req.CompleteCB = sim.Callback{ID: n.txReadDoneH, Arg0: n.txSlots.Put(p)}
-		n.mc.Submit(req)
-		return
-	}
-	n.mc.Submit(req) // posted read
-	n.serialize(p)
-}
-
-// serialize occupies the line for the packet's wire time, then txDone.
-func (n *NIC) serialize(p *packet.Packet) {
+	// The line is busy for the packet's wire time, then txDone.
 	n.e.ScheduleAfter(n.cfg.LineRate.TimeFor(p.WireLen()), n.txDoneH, n.txSlots.Put(p), 0)
-}
-
-// txReadDone fires when a blocking transmit DMA read completes; arg0 is
-// the packet's slot.
-func (n *NIC) txReadDone(slot, _ uint64) {
-	n.serialize(n.txSlots.Take(slot))
 }
 
 // txDone fires when the serializer finishes a packet; arg0 is its slot.

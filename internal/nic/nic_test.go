@@ -168,28 +168,6 @@ func TestTransmitChargesMemoryReads(t *testing.T) {
 	}
 }
 
-func TestTxBlockingReadsDelayTransmit(t *testing.T) {
-	run := func(blocking bool) sim.Time {
-		e := sim.NewEngine(1)
-		cfg := mem.DefaultConfig()
-		cfg.EffectiveBW = sim.GBps(1) // slow memory: read takes ~4.2us
-		mc := mem.NewController(e, cfg)
-		nicCfg := DefaultConfig()
-		nicCfg.TxBlockingReads = blocking
-		link := pcie.NewLink(e, pcie.DefaultConfig(), func(*pcie.TLP) {})
-		n := New(e, nicCfg, link, mc)
-		var at sim.Time
-		n.SetOutput(func(*packet.Packet) { at = e.Now() })
-		n.Transmit(pkt(4096, 0))
-		e.Run()
-		return at
-	}
-	posted, blocking := run(false), run(true)
-	if blocking <= posted {
-		t.Fatalf("blocking tx (%v) should be slower than posted (%v)", blocking, posted)
-	}
-}
-
 func TestWindowDropRate(t *testing.T) {
 	e := sim.NewEngine(1)
 	cfg := DefaultConfig()

@@ -68,7 +68,8 @@ type ChaosConfig struct {
 	FaultAt  sim.Time
 	FaultFor sim.Time
 	// RecoveryRTTBudget bounds how long after the fault clears the run
-	// keeps probing for recovery (default 50 RTTs, the acceptance bar).
+	// keeps probing for recovery (default 50 RTTs, the acceptance bar;
+	// negative is rejected).
 	RecoveryRTTBudget int
 
 	// DigestEvery records a per-component state digest frame at this
@@ -230,6 +231,9 @@ func chaosTestbed(cfg ChaosConfig) (ChaosConfig, Config, error) {
 	}
 	if cfg.CheckpointEvery > 0 && cfg.CheckpointPath == "" {
 		return cfg, Config{}, fmt.Errorf("testbed: ChaosConfig.CheckpointEvery set without CheckpointPath")
+	}
+	if cfg.RecoveryRTTBudget < 0 {
+		return cfg, Config{}, fmt.Errorf("testbed: ChaosConfig.RecoveryRTTBudget %d is negative", cfg.RecoveryRTTBudget)
 	}
 	if err := checkPeriod("ChaosConfig.DigestEvery", cfg.DigestEvery); err != nil {
 		return cfg, Config{}, err

@@ -62,8 +62,8 @@ func fluidConfig(mtu int) fluid.Config { return fluid.Config{MSS: mtu} }
 // resources over every real access link and trunk port, virtual
 // resources for the background hosts, the flow population, promote/
 // demote hooks into the packet twins, fault-window coupling, and the
-// coarse clock (a Ticker on the serial engine; a coordinator hook — so
-// ticks run with every shard quiesced — when sharded). Construction
+// tick (through Every: a Ticker on the serial engine; a coordinator hook
+// — so ticks run with every shard quiesced — when sharded). Construction
 // order is fixed, which makes resource and flow indices, and therefore
 // the fluid snapshot layout, identical run over run.
 func (tb *Testbed) buildFluid() {
@@ -163,13 +163,12 @@ func (tb *Testbed) buildFluid() {
 		net.AddFlow(flowPath(&path, vUp[src], src%racks, dst%racks, dst, vDown[dst])...)
 	}
 
-	// Coarse clock: the fault poll runs before the integrator each tick
-	// so a flapped trunk or access link reads as a faulted resource —
-	// flows entering a fault window promote — within one tick.
-	clock := sim.NewCoarseClock(net.Config().Tick)
+	// The fault poll runs before the integrator each tick so a flapped
+	// trunk or access link reads as a faulted resource — flows entering a
+	// fault window promote — within one tick.
 	trunkLinks := tb.Fabric.Trunks
 	accessLinks := tb.Links
-	clock.Register("fluid/faults", func(sim.Time) {
+	tb.Every(net.Config().Tick, func() {
 		for i, r := range trunkRes {
 			net.SetFault(r, trunkLinks[i].IsDown())
 		}
@@ -177,15 +176,9 @@ func (tb *Testbed) buildFluid() {
 			net.SetFault(upRes[i], accessLinks[2*i].IsDown())
 			net.SetFault(downRes[i], accessLinks[2*i+1].IsDown())
 		}
+		net.Tick(tb.Now())
 	})
-	net.Register(clock)
-	if tb.Group != nil {
-		clock.BindGroup(tb.Group)
-	} else {
-		clock.BindEngine(tb.E)
-	}
 	tb.FluidNet = net
-	tb.FluidClock = clock
 
 	// Instruments, registered after every other so that the registry's
 	// order is the same with and without a fluid tier up to here. They

@@ -285,6 +285,8 @@ func TestCheckpointResumeErrors(t *testing.T) {
 		// checking every nanosecond.
 		"digest-every-1ns":    `{"Config":{"Scenario":"credit-stall","DigestEvery":1}}`,
 		"sentinel-window-1ns": `{"Config":{"Scenario":"credit-stall","SentinelWindow":1}}`,
+		// A budget that probes nothing and reports "did NOT recover".
+		"negative-RecoveryRTTBudget": `{"Config":{"Scenario":"link-flap","RecoveryRTTBudget":-5}}`,
 	} {
 		// A record that decodes would be replayed in full: never resume one.
 		if _, _, err := decodeCheckpoint([]byte(body)); err == nil {
@@ -303,8 +305,9 @@ func TestCheckpointResumeErrors(t *testing.T) {
 
 // FuzzCheckpointDecode: -resume reads bytes from anywhere, so whatever
 // they are, decoding a record returns an error or a testbed config that
-// Validate accepts, with each period 0 or at least MinPeriod, and never
-// panics. Nothing is built or run.
+// Validate accepts, with each period 0 or at least MinPeriod and a
+// recovery budget of at least 0, and never panics. Nothing is built or
+// run.
 func FuzzCheckpointDecode(f *testing.F) {
 	f.Add([]byte(`{"Config":{"Scenario":"credit-stall"}}`))
 	f.Fuzz(func(t *testing.T, b []byte) {
@@ -319,6 +322,9 @@ func FuzzCheckpointDecode(f *testing.F) {
 			if p != 0 && p < MinPeriod {
 				t.Fatalf("decoded a period of %v, below MinPeriod", p)
 			}
+		}
+		if ck.Config.RecoveryRTTBudget < 0 {
+			t.Fatalf("decoded a negative recovery budget %d", ck.Config.RecoveryRTTBudget)
 		}
 	})
 }

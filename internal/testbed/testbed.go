@@ -372,11 +372,9 @@ type Testbed struct {
 
 	// FluidNet is the fluid background tier (nil without
 	// Config.FluidBackground); FluidTwins holds the promotable flows'
-	// packet twins (nil when Promotable is 0) and FluidClock the coarse
-	// tick driver.
+	// packet twins (nil when Promotable is 0).
 	FluidNet   *fluid.Network
 	FluidTwins *apps.FluidTwins
-	FluidClock *sim.CoarseClock
 
 	// Reg indexes every instrument of the testbed (always built — a
 	// registered instrument is a name plus a read closure, with no

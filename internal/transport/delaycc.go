@@ -3,11 +3,10 @@ package transport
 import "repro/internal/sim"
 
 // delayCC is a Swift-style delay-based congestion controller (§6 discusses
-// extending hostCC to delay-based protocols; hostCC's delay signal —
-// host delay via Little's law on the IIO counters — can feed the same
-// machinery). Each ACK compares its RTT sample against a target; the
-// window grows additively below target and shrinks multiplicatively in
-// proportion to the overshoot, clamped per RTT.
+// extending hostCC to delay-based protocols). Each ACK compares its RTT
+// sample against a target; the window grows additively below target and
+// shrinks multiplicatively in proportion to the overshoot, clamped per
+// RTT.
 type delayCC struct {
 	e   *sim.Engine
 	mss int
